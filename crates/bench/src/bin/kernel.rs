@@ -1,8 +1,8 @@
 //! Kernel microbenches: the costs every experiment pays per tick.
 //!
 //! Measures the public kernel entry points (`Machine::step`, thermal
-//! stepping, leakage evaluation, field sampling, LinOpt's re-solve)
-//! plus the in-place scratch-buffer APIs; writes
+//! stepping, leakage evaluation, field sampling, LinOpt's re-solve,
+//! SAnn's annealing loop) plus the in-place scratch-buffer APIs; writes
 //! `results/BENCH_kernel.json`. The committed pre-optimization run is
 //! `results/BENCH_kernel_baseline.json`; `check_bench --baseline`
 //! diffs the two.
@@ -13,7 +13,8 @@
 //!   committed baseline and exit non-zero unless the optimized kernels
 //!   hold their promised speedups ([`STEP_SPEEDUP_MIN`]× on
 //!   `machine/step_1ms_20t`, [`FIELD_SPEEDUP_MIN`]× on the large-grid
-//!   field cases).
+//!   field cases, [`SANN_SPEEDUP_MIN`]× per evaluation on
+//!   `anneal/sann_100k_20t`).
 //! * `--cholesky-reference` — instead of benchmarking, time the
 //!   forced-Cholesky field path once per case and print ready-to-paste
 //!   baseline entries (a 64×64 dense factorization takes tens of
@@ -28,10 +29,11 @@ use std::time::Instant;
 use thermal::{ThermalModel, ThermalParams, ThermalScratch};
 use varius::{DieGenerator, VariationConfig};
 use vasched::manager::linopt::{linopt_levels, LinOpt};
+use vasched::manager::sann::sann_levels;
 use vasched::manager::{synthetic_core, PmView, PowerBudget, PowerManager};
 use vasched::obs::{parse_json, JsonValue};
 use vasp_bench::json_report::BenchReport;
-use vasp_bench::timing::report_case;
+use vasp_bench::timing::{measure, report_case, Measurement};
 use vastats::{GaussianField, SimRng, SphericalCorrelogram};
 
 /// `--gate`: required speedup of `machine/step_1ms_20t` over the
@@ -43,6 +45,11 @@ const STEP_SPEEDUP_MIN: f64 = 8.0;
 /// `--gate`: required speedup of the `field/*_64x64` cases over the
 /// committed (forced-Cholesky) baseline.
 const FIELD_SPEEDUP_MIN: f64 = 10.0;
+
+/// `--gate`: required per-evaluation speedup of `anneal/sann_100k_20t`
+/// over the committed baseline, measured before SAnn's cost became
+/// incremental and its Gaussian step and Metropolis test certified.
+const SANN_SPEEDUP_MIN: f64 = 1.4;
 
 /// The committed pre-optimization reference the gate reads.
 const BASELINE_PATH: &str = "results/BENCH_kernel_baseline.json";
@@ -213,16 +220,18 @@ fn drifting_view(step: usize) -> PmView {
     )
 }
 
-fn bench_solver(report: &mut BenchReport) {
-    let budget_of = |v: &PmView| {
-        let min_p = v.total_power(&v.min_levels());
-        let max_p = v.total_power(&v.max_levels());
-        PowerBudget {
-            chip_w: min_p + 0.55 * (max_p - min_p),
-            per_core_w: 100.0,
-        }
-    };
+/// A chip budget 55% of the way from the view's all-minimum to its
+/// all-maximum power.
+fn budget_of(v: &PmView) -> PowerBudget {
+    let min_p = v.total_power(&v.min_levels());
+    let max_p = v.total_power(&v.max_levels());
+    PowerBudget {
+        chip_w: min_p + 0.55 * (max_p - min_p),
+        per_core_w: 100.0,
+    }
+}
 
+fn bench_solver(report: &mut BenchReport) {
     let mut manager = LinOpt::new();
     let mut rng = SimRng::seed_from(9);
     let mut step = 0usize;
@@ -279,6 +288,33 @@ fn bench_solver(report: &mut BenchReport) {
         black_box(s.objective);
     });
     report.push_case("solver", "simplex_warm_ws_20c", m);
+}
+
+/// SAnn evaluations per call in `anneal/sann_100k_20t` (paper scale).
+const SANN_EVALUATIONS: usize = 100_000;
+
+/// SAnn at paper scale on a 20-thread synthetic view, reported per
+/// cost evaluation: the annealer's proposal, Metropolis test and
+/// objective together.
+fn bench_anneal(report: &mut BenchReport) {
+    let view = drifting_view(0).with_uncore_power(6.0);
+    let budget = budget_of(&view);
+    let mut rng = SimRng::seed_from(10);
+    let m = measure(|| {
+        black_box(sann_levels(&view, &budget, SANN_EVALUATIONS, &mut rng));
+    });
+    let per_eval = |ns: f64| ns / SANN_EVALUATIONS as f64;
+    let m = Measurement {
+        median_ns: per_eval(m.median_ns),
+        min_ns: per_eval(m.min_ns),
+        max_ns: per_eval(m.max_ns),
+        ..m
+    };
+    println!(
+        "{:<44} {:>11.1} ns/eval",
+        "anneal/sann_100k_20t", m.median_ns
+    );
+    report.push_case("anneal", "sann_100k_20t", m);
 }
 
 /// Times the forced-Cholesky field path once per case and prints the
@@ -343,6 +379,7 @@ fn gate(report: &BenchReport) -> bool {
         ("machine/step_1ms_20t", STEP_SPEEDUP_MIN),
         ("field/build_64x64", FIELD_SPEEDUP_MIN),
         ("field/sample_pair_64x64", FIELD_SPEEDUP_MIN),
+        ("anneal/sann_100k_20t", SANN_SPEEDUP_MIN),
     ] {
         let Some(then) = baseline_median(&doc, id) else {
             eprintln!("GATE FAIL: baseline has no case '{id}'");
@@ -356,10 +393,10 @@ fn gate(report: &BenchReport) -> bool {
         };
         let speedup = then / now;
         if speedup >= need {
-            println!("gate ok   {id}: {speedup:.1}x (need {need:.0}x)");
+            println!("gate ok   {id}: {speedup:.1}x (need {need}x)");
         } else {
             eprintln!(
-                "GATE FAIL {id}: {speedup:.1}x < required {need:.0}x ({then:.0} ns -> {now:.0} ns)"
+                "GATE FAIL {id}: {speedup:.1}x < required {need}x ({then:.0} ns -> {now:.0} ns)"
             );
             ok = false;
         }
@@ -382,6 +419,7 @@ fn main() {
     bench_leakage(&mut report);
     bench_field(&mut report);
     bench_solver(&mut report);
+    bench_anneal(&mut report);
     match report.write("kernel") {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write BENCH_kernel.json: {e}"),

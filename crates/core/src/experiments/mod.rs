@@ -78,11 +78,14 @@ pub struct Scale {
 impl Scale {
     /// The paper's full protocol (200 dies, 20 trials, 300 ms trials at
     /// grid 60). One deliberate departure: SAnn runs 100k evaluations
-    /// per invocation rather than the paper's 1M — SAnn's throughput is
+    /// per invocation rather than the paper's 1M. SAnn's throughput is
     /// already within 1% of exhaustive search well below that budget
-    /// (asserted by the validation tests), and 1M evaluations × ~30
-    /// invocations × 20 trials × 4 thread counts is hours of compute
-    /// whose only purpose in the paper is to show SAnn is impractical.
+    /// (asserted by the validation tests). An evaluation costs about
+    /// 0.1 µs at 20 threads on a 2-vCPU Xeon VM (`anneal/sann_100k_20t`
+    /// in `BENCH_kernel.json`), so 1M evaluations would cost ~0.1 s per
+    /// invocation and make the SAnn stages of `all` about ten times
+    /// longer. The budget stays at 100k because the repository
+    /// benchmark's `dvfs_sann` workload is pinned to it.
     pub fn paper() -> Self {
         Self {
             dies: 200,

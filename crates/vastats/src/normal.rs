@@ -101,16 +101,30 @@ impl Normal {
     }
 }
 
-/// One draw from `N(0,1)` via the Marsaglia polar method.
-pub fn standard_sample(rng: &mut SimRng) -> f64 {
+/// The accepted point of one Marsaglia polar round: uniform `(u, v)`
+/// in the open unit disc (origin excluded) and `s = u² + v²`.
+///
+/// Both normals of the round are functions of this point alone
+/// (`u·√(−2 ln s / s)` and `v·√(−2 ln s / s)`), so callers that only
+/// need a property of a normal — its rounded value, say — can decide
+/// it without paying for the `ln`/`sqrt` while consuming exactly the
+/// draws [`standard_sample`] would.
+#[inline]
+pub fn polar_point(rng: &mut SimRng) -> (f64, f64, f64) {
     loop {
         let u = 2.0 * rng.next_f64() - 1.0;
         let v = 2.0 * rng.next_f64() - 1.0;
         let s = u * u + v * v;
         if s > 0.0 && s < 1.0 {
-            return u * (-2.0 * s.ln() / s).sqrt();
+            return (u, v, s);
         }
     }
+}
+
+/// One draw from `N(0,1)` via the Marsaglia polar method.
+pub fn standard_sample(rng: &mut SimRng) -> f64 {
+    let (u, _, s) = polar_point(rng);
+    u * (-2.0 * s.ln() / s).sqrt()
 }
 
 /// Two independent draws from `N(0,1)` from one polar acceptance.
@@ -121,15 +135,9 @@ pub fn standard_sample(rng: &mut SimRng) -> f64 {
 /// circulant sampler fills a complex noise vector) get both for one
 /// `ln`/`sqrt` and half the uniform draws.
 pub fn standard_pair(rng: &mut SimRng) -> (f64, f64) {
-    loop {
-        let u = 2.0 * rng.next_f64() - 1.0;
-        let v = 2.0 * rng.next_f64() - 1.0;
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            let f = (-2.0 * s.ln() / s).sqrt();
-            return (u * f, v * f);
-        }
-    }
+    let (u, v, s) = polar_point(rng);
+    let f = (-2.0 * s.ln() / s).sqrt();
+    (u * f, v * f)
 }
 
 /// Error function, Abramowitz & Stegun approximation 7.1.26.
