@@ -90,6 +90,7 @@ pub mod order;
 pub mod profile;
 pub mod runtime;
 pub mod sched;
+mod serving;
 
 /// Convenient re-exports for end-to-end use.
 pub mod prelude {
@@ -114,7 +115,7 @@ pub mod prelude {
         run_trial, run_trial_faulted, ConfigError, RuntimeConfig, TrialError, TrialObserver,
         TrialOutcome,
     };
-    pub use crate::sched::{SchedPolicy, Scheduler, SchedulerSpec};
+    pub use crate::sched::{Scheduler, SchedulerSpec};
     pub use cmpsim::{
         app_pool, FaultConfigError, FaultEvent, FaultPlan, Machine, MachineConfig, Mix, Thread,
         Workload,

@@ -136,7 +136,7 @@ impl SolveReport {
 /// checkpoint.
 ///
 /// Control components are rebuilt from their serializable spec
-/// ([`ManagerSpec`], [`crate::sched::SchedPolicy`]) on restore; this
+/// ([`ManagerSpec`], [`crate::sched::SchedulerSpec`]) on restore; this
 /// enum carries only what the spec cannot: the mutable state a live
 /// instance accumulated across intervals. Every shipped component's
 /// state is one of these small shapes, so the snapshot codec stays

@@ -6,11 +6,11 @@
 //! the (V, f) assignment. The machine advances in fixed ticks between
 //! those events, and power/IPC sensors stay on throughout.
 
-use crate::manager::{DegradationEvent, HardenedManager, ManagerSpec, PowerBudget, SolveReport};
-use crate::metrics::{ed2_index, weighted_mips};
-use crate::profile::{core_profiles, thread_profiles, CoreProfile, ThreadProfile};
-use crate::sched::{Scheduler, SchedulerSpec};
-use cmpsim::{FaultConfigError, FaultEvent, FaultPlan, Machine, StepStats, Workload};
+use crate::extensions::MigrationConfig;
+use crate::manager::{DegradationEvent, ManagerSpec, PowerBudget, SolveReport};
+use crate::sched::SchedulerSpec;
+use crate::serving::{JobSource, ServingCore};
+use cmpsim::{FaultConfigError, FaultPlan, Machine, StepStats, Workload};
 use std::fmt;
 use vastats::SimRng;
 
@@ -220,6 +220,17 @@ pub enum TrialError {
         /// Cores on the machine.
         cores: usize,
     },
+    /// A checkpoint does not fit the machine or configuration it is
+    /// resumed on.
+    SnapshotMismatch {
+        /// The snapshot field whose structural guard failed.
+        field: &'static str,
+        /// The value the snapshot carries.
+        found: usize,
+        /// The value the machine or configuration implies (for `tick`,
+        /// the horizon it may not exceed).
+        expected: usize,
+    },
 }
 
 impl fmt::Display for TrialError {
@@ -233,6 +244,14 @@ impl fmt::Display for TrialError {
                     "workload has {threads} threads but machine has {cores} cores"
                 )
             }
+            Self::SnapshotMismatch {
+                field,
+                found,
+                expected,
+            } => write!(
+                f,
+                "snapshot {field} is {found} but the machine and configuration imply {expected}"
+            ),
         }
     }
 }
@@ -242,7 +261,7 @@ impl std::error::Error for TrialError {
         match self {
             Self::Config(e) => Some(e),
             Self::Fault(e) => Some(e),
-            Self::WorkloadTooLarge { .. } => None,
+            Self::WorkloadTooLarge { .. } | Self::SnapshotMismatch { .. } => None,
         }
     }
 }
@@ -391,78 +410,11 @@ pub fn run_trial_observed(
     rng: &mut SimRng,
     observer: &mut dyn TrialObserver,
 ) -> TrialOutcome {
-    config.validate_or_panic();
-    match run_trial_faulted(
-        machine,
-        workload,
-        policy,
-        manager,
-        budget,
-        config,
-        &FaultPlan::none(),
-        rng,
-        observer,
-    ) {
-        Ok(outcome) => outcome,
-        Err(e) => panic!("trial failed: {e}"),
-    }
-}
-
-/// Plans the next thread-to-core assignment, working around dead cores.
-///
-/// With every core alive and enough capacity, this is a passthrough to
-/// the scheduler (byte-identical RNG consumption to the pre-fault code,
-/// which is what keeps zero-fault runs reproducible). Once cores have
-/// failed, the scheduler sees only the survivors; if more threads are
-/// live than cores, the lowest-IPC threads are parked for this epoch.
-/// Returns the full-machine mapping and the number of parked threads.
-pub(crate) fn plan_assignment(
-    scheduler: &mut dyn Scheduler,
-    cores: &[CoreProfile],
-    threads: &[ThreadProfile],
-    machine: &Machine,
-    rng: &mut SimRng,
-) -> (Vec<Option<usize>>, usize) {
-    // Let machine-aware schedulers (ThermalMap) read sensors before the
-    // assignment; the default hook is a no-op and draws no RNG, so
-    // machine-oblivious policies stay bit-identical to the pre-hook
-    // code. This is the single choke point every execution path (batch,
-    // online, fleet) routes scheduling through.
-    scheduler.observe(machine);
-    let n_alive = cores.iter().filter(|c| machine.core_alive(c.core)).count();
-    if n_alive == cores.len() && threads.len() <= n_alive {
-        return (scheduler.assign(cores, threads, rng), 0);
-    }
-    let alive: Vec<CoreProfile> = cores
-        .iter()
-        .filter(|c| machine.core_alive(c.core))
-        .cloned()
-        .collect();
-    if alive.is_empty() {
-        return (vec![None; cores.len()], threads.len());
-    }
-    let mut runnable: Vec<ThreadProfile> = threads.to_vec();
-    let parked = threads.len().saturating_sub(alive.len());
-    if parked > 0 {
-        // Keep the highest-IPC threads (deterministic ties by index; a
-        // NaN IPC ranks last, so it is parked first), then restore
-        // thread order so policy tie-breaks are stable.
-        runnable.sort_by(|a, b| {
-            crate::order::desc_nan_worst(a.ipc, b.ipc).then(a.thread.cmp(&b.thread))
-        });
-        runnable.truncate(alive.len());
-        runnable.sort_by_key(|t| t.thread);
-    }
-    // The scheduler works positionally over the slices it is given, so
-    // translate its sub-machine mapping back to full-machine indices.
-    let sub = scheduler.assign(&alive, &runnable, rng);
-    let mut mapping = vec![None; cores.len()];
-    for (pos, slot) in sub.iter().enumerate() {
-        if let Some(tpos) = slot {
-            mapping[alive[pos].core] = Some(runnable[*tpos].thread);
-        }
-    }
-    (mapping, parked)
+    let none = FaultPlan::none();
+    run_trial_faulted(
+        machine, workload, policy, manager, budget, config, &none, rng, observer,
+    )
+    .unwrap_or_else(|e| panic!("trial failed: {e}"))
 }
 
 /// The canonical trial entry point: [`run_trial_observed`] plus a
@@ -494,6 +446,29 @@ pub fn run_trial_faulted(
     rng: &mut SimRng,
     observer: &mut dyn TrialObserver,
 ) -> Result<TrialOutcome, TrialError> {
+    let core = serve_closed(
+        machine, workload, policy, manager, budget, config, fault_plan, None, rng, observer,
+    )?;
+    Ok(core.chip_outcome())
+}
+
+/// Runs a closed system to the horizon: `workload`'s threads are the
+/// only residents and nothing arrives or completes. Shared by the batch
+/// engine and [`crate::extensions::run_thermal_trial`], which adds
+/// temperature-triggered migration at the pre-step point.
+#[allow(clippy::too_many_arguments)] // run_trial_faulted + the migration knob
+pub(crate) fn serve_closed<'a>(
+    machine: &'a mut Machine,
+    workload: &Workload,
+    policy: SchedulerSpec,
+    manager: ManagerSpec,
+    budget: PowerBudget,
+    config: &RuntimeConfig,
+    fault_plan: &FaultPlan,
+    migration: Option<MigrationConfig>,
+    rng: &'a mut SimRng,
+    observer: &mut dyn TrialObserver,
+) -> Result<ServingCore<&'a mut Machine, &'a mut SimRng>, TrialError> {
     config.validate()?;
     if workload.len() > machine.core_count() {
         return Err(TrialError::WorkloadTooLarge {
@@ -503,126 +478,16 @@ pub fn run_trial_faulted(
     }
     // Build the control plane before touching the machine so degenerate
     // specs fail cleanly (ConfigError::BadManager) with no side effects.
-    let mut scheduler = policy.build(config)?;
+    let scheduler = policy.build(config)?;
     manager.validate(config)?;
     machine.load_threads(workload.spawn_threads(rng));
     machine.install_faults(fault_plan)?;
-    let hardened = machine.has_active_faults();
-    let mut power_manager = HardenedManager::new(manager, machine.core_count(), hardened, config)?;
-
-    let cores = core_profiles(machine);
-    let dt_s = config.tick_ms / 1e3;
-    let total_ticks = (config.duration_ms / config.tick_ms).round() as usize;
-    let dvfs_every = (config.dvfs_interval_ms / config.tick_ms).round() as usize;
-    let os_every = (config.os_interval_ms / config.tick_ms).round() as usize;
-
-    let warmup_ticks =
-        ((config.deviation_warmup_ms / config.tick_ms).round() as usize).min(total_ticks / 2);
-    let mut freq_time_sum = 0.0f64;
-    let mut deviation_sum = 0.0f64;
-    let mut deviation_ticks = 0usize;
-    let mut manager_runs = 0usize;
-
-    // Set when a core fails mid-epoch: forces a reschedule on the next
-    // tick instead of waiting for the OS interval.
-    let mut core_dirty = false;
-    let mut degradations: Vec<DegradationEvent> = Vec::new();
-
-    for tick in 0..total_ticks {
-        if tick % os_every == 0 || core_dirty {
-            core_dirty = false;
-            // OS scheduling epoch: re-profile threads and re-map.
-            let threads = thread_profiles(machine, rng);
-            let (mapping, parked) =
-                plan_assignment(scheduler.as_mut(), &cores, &threads, machine, rng);
-            machine.assign(&mapping);
-            power_manager.note_reschedule();
-            if !power_manager.is_managed() {
-                match config.freq_mode {
-                    FreqMode::Uniform => {
-                        machine.set_uniform_frequency();
-                    }
-                    FreqMode::NonUniform => machine.set_all_levels_max(),
-                }
-            }
-            observer.on_schedule(tick, &mapping);
-            if parked > 0 {
-                observer.on_degradation(tick, DegradationEvent::ThreadsParked { parked });
-            }
-        }
-        if power_manager.is_managed() && tick % dvfs_every == 0 {
-            // Under an injected budget drop, the manager chases the
-            // scaled budget (the deviation metric below does not).
-            let eff_budget = if hardened {
-                PowerBudget {
-                    chip_w: budget.chip_w * machine.fault_budget_factor(),
-                    per_core_w: budget.per_core_w,
-                }
-            } else {
-                budget
-            };
-            if let Some(levels) = power_manager.invoke(machine, &eff_budget, rng, &mut degradations)
-            {
-                observer.on_manager_run(tick, &levels);
-                if let Some(report) = power_manager.last_solve() {
-                    observer.on_solve(tick, &report);
-                }
-            }
-            for event in degradations.drain(..) {
-                observer.on_degradation(tick, event);
-            }
-            manager_runs += 1;
-        }
-
-        let stats = machine.step(dt_s);
-        for event in machine.take_fault_events() {
-            if matches!(event, FaultEvent::CoreFailed { .. }) {
-                core_dirty = true;
-            }
-            observer.on_degradation(tick, DegradationEvent::from(event));
-        }
-        observer.on_step(machine, &stats);
-        if tick >= warmup_ticks {
-            deviation_sum += (stats.total_power_w - budget.chip_w).abs();
-            deviation_ticks += 1;
-        }
-
-        // Track the average frequency of active cores this tick.
-        let mut f_sum = 0.0;
-        let mut active = 0usize;
-        for core in 0..machine.core_count() {
-            if machine.thread_of(core).is_some() {
-                f_sum += machine.effective_freq(core);
-                active += 1;
-            }
-        }
-        if active > 0 {
-            freq_time_sum += f_sum / active as f64;
-        }
+    let mut core = ServingCore::new(machine, rng, scheduler, manager, budget, config, 0.0, 0.0)?
+        .with_thermal_migration(migration);
+    for tick in 0..core.total_ticks {
+        core.step(tick, JobSource::Closed, observer);
     }
-
-    let per_thread_mips: Vec<f64> = machine.threads().iter().map(|t| t.average_mips()).collect();
-    let reference_mips: Vec<f64> = workload
-        .specs()
-        .iter()
-        .map(|s| s.ipc_at(4.0e9) * 4.0e9 / 1e6)
-        .collect();
-
-    let mips = machine.average_mips();
-    let avg_power_w = machine.average_power();
-    let wmips = weighted_mips(&per_thread_mips, &reference_mips);
-
-    Ok(TrialOutcome {
-        mips,
-        weighted_mips: wmips,
-        avg_power_w,
-        ed2: ed2_index(avg_power_w, mips),
-        weighted_ed2: ed2_index(avg_power_w, wmips),
-        avg_freq_hz: freq_time_sum / total_ticks as f64,
-        power_deviation_frac: deviation_sum / deviation_ticks.max(1) as f64 / budget.chip_w,
-        manager_runs,
-        per_thread_mips,
-    })
+    Ok(core)
 }
 
 #[cfg(test)]

@@ -17,54 +17,15 @@ use crate::runtime::{ConfigError, RuntimeConfig};
 use cmpsim::Machine;
 use vastats::SimRng;
 
-/// The scheduling policies of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedPolicy {
-    /// Map threads on cores randomly (the baseline).
-    Random,
-    /// Map threads randomly on the cores with lowest static power.
-    VarP,
-    /// Map the highest-dynamic-power threads on the lowest-static-power
-    /// cores.
-    VarPAppP,
-    /// Map threads randomly on the cores with highest frequency.
-    VarF,
-    /// Map the highest-IPC threads on the highest-frequency cores.
-    VarFAppIpc,
-}
-
-impl SchedPolicy {
-    /// Human-readable name as used in the paper's figures.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedPolicy::Random => "Random",
-            SchedPolicy::VarP => "VarP",
-            SchedPolicy::VarPAppP => "VarP&AppP",
-            SchedPolicy::VarF => "VarF",
-            SchedPolicy::VarFAppIpc => "VarF&AppIPC",
-        }
-    }
-
-    /// Constructs the boxed [`Scheduler`] this policy describes.
-    ///
-    /// The paper's five profile-only policies need no runtime context,
-    /// so this is infallible; schedulers with parameters live on
-    /// [`SchedulerSpec`], whose registry validates them.
-    pub fn build(&self) -> Box<dyn Scheduler> {
-        Box::new(PolicyScheduler { policy: *self })
-    }
-}
-
 /// Which application scheduler to run: the declarative spec side of
 /// the scheduling half of the control plane, mirroring
 /// [`crate::manager::ManagerSpec`].
 ///
-/// The first five variants are Table 1's profile-only policies
-/// (identical to [`SchedPolicy`], which remains the low-level selector
-/// for the [`schedule`] free function); [`SchedulerSpec::ThermalMap`]
-/// is the PCGov-style thermal-aware mapper the tournament fields. The
-/// enum is `#[non_exhaustive]`: downstream matches must carry a
-/// wildcard so new schedulers can join without breaking them.
+/// The first five variants are Table 1's profile-only policies;
+/// [`SchedulerSpec::ThermalMap`] is the PCGov-style thermal-aware
+/// mapper the tournament fields. The enum is `#[non_exhaustive]`:
+/// downstream matches must carry a wildcard so new schedulers can join
+/// without breaking them.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchedulerSpec {
@@ -86,8 +47,8 @@ pub enum SchedulerSpec {
 }
 
 impl SchedulerSpec {
-    /// Name as used in traces and reports. Stable across releases; the
-    /// Table 1 names match [`SchedPolicy::name`].
+    /// Name as used in the paper's figures, traces and reports. Stable
+    /// across releases.
     pub fn name(&self) -> &'static str {
         match self {
             SchedulerSpec::Random => "Random",
@@ -104,28 +65,38 @@ impl SchedulerSpec {
     /// [`crate::manager::ManagerSpec::build`]. Infallible today (no
     /// shipped scheduler has degenerate parameters), but the signature
     /// reserves [`ConfigError::BadManager`] for ones that will.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use vasched::profile::{CoreProfile, ThreadProfile};
+    /// use vasched::runtime::RuntimeConfig;
+    /// use vasched::sched::SchedulerSpec;
+    /// use vastats::SimRng;
+    ///
+    /// // Two cores: core 1 is faster. One high-IPC thread.
+    /// let cores = vec![
+    ///     CoreProfile { core: 0, static_power_w: vec![1.0], max_freq_hz: 3.0e9 },
+    ///     CoreProfile { core: 1, static_power_w: vec![1.2], max_freq_hz: 4.0e9 },
+    /// ];
+    /// let threads = vec![ThreadProfile {
+    ///     thread: 0,
+    ///     dynamic_power_w: 3.0,
+    ///     ipc: 1.1,
+    ///     profiled_on: 0,
+    /// }];
+    /// let mut scheduler = SchedulerSpec::VarFAppIpc
+    ///     .build(&RuntimeConfig::paper_default())
+    ///     .unwrap();
+    /// let mapping = scheduler.assign(&cores, &threads, &mut SimRng::seed_from(1));
+    /// assert_eq!(mapping[1], Some(0), "the thread lands on the fast core");
+    /// ```
     pub fn build(&self, rt: &RuntimeConfig) -> Result<Box<dyn Scheduler>, ConfigError> {
         let _ = rt;
         Ok(match self {
-            SchedulerSpec::Random => SchedPolicy::Random.build(),
-            SchedulerSpec::VarP => SchedPolicy::VarP.build(),
-            SchedulerSpec::VarPAppP => SchedPolicy::VarPAppP.build(),
-            SchedulerSpec::VarF => SchedPolicy::VarF.build(),
-            SchedulerSpec::VarFAppIpc => SchedPolicy::VarFAppIpc.build(),
             SchedulerSpec::ThermalMap => Box::new(crate::manager::ThermalMapper::new()),
+            table1 => Box::new(PolicyScheduler { policy: *table1 }),
         })
-    }
-}
-
-impl From<SchedPolicy> for SchedulerSpec {
-    fn from(p: SchedPolicy) -> Self {
-        match p {
-            SchedPolicy::Random => SchedulerSpec::Random,
-            SchedPolicy::VarP => SchedulerSpec::VarP,
-            SchedPolicy::VarPAppP => SchedulerSpec::VarPAppP,
-            SchedPolicy::VarF => SchedulerSpec::VarF,
-            SchedPolicy::VarFAppIpc => SchedulerSpec::VarFAppIpc,
-        }
     }
 }
 
@@ -174,10 +145,11 @@ pub trait Scheduler: Send {
     fn restore(&mut self, _state: &ControlState) {}
 }
 
-/// The [`Scheduler`] implementation backing all of Table 1's policies.
+/// The [`Scheduler`] implementation backing all of Table 1's policies
+/// (every [`SchedulerSpec`] except `ThermalMap`).
 #[derive(Debug, Clone, Copy)]
 struct PolicyScheduler {
-    policy: SchedPolicy,
+    policy: SchedulerSpec,
 }
 
 impl Scheduler for PolicyScheduler {
@@ -196,39 +168,17 @@ impl Scheduler for PolicyScheduler {
 }
 
 /// Computes a mapping `mapping[core] = Some(thread)` for every scheduled
-/// thread under the given policy.
+/// thread under one of Table 1's policies.
 ///
 /// `cores` and `threads` are the profile data of Table 3; policies only
 /// read the fields the paper allows them (e.g. `Random` reads nothing).
 ///
 /// # Panics
 ///
-/// Panics if there are more threads than cores or either slice is empty.
-///
-/// # Example
-///
-/// ```
-/// use vasched::profile::{CoreProfile, ThreadProfile};
-/// use vasched::sched::{schedule, SchedPolicy};
-/// use vastats::SimRng;
-///
-/// // Two cores: core 1 is faster. One high-IPC thread.
-/// let cores = vec![
-///     CoreProfile { core: 0, static_power_w: vec![1.0], max_freq_hz: 3.0e9 },
-///     CoreProfile { core: 1, static_power_w: vec![1.2], max_freq_hz: 4.0e9 },
-/// ];
-/// let threads = vec![ThreadProfile {
-///     thread: 0,
-///     dynamic_power_w: 3.0,
-///     ipc: 1.1,
-///     profiled_on: 0,
-/// }];
-/// let mut rng = SimRng::seed_from(1);
-/// let mapping = schedule(SchedPolicy::VarFAppIpc, &cores, &threads, &mut rng);
-/// assert_eq!(mapping[1], Some(0), "the thread lands on the fast core");
-/// ```
-pub fn schedule(
-    policy: SchedPolicy,
+/// Panics if there are more threads than cores, either slice is empty,
+/// or `policy` is not a Table 1 policy.
+fn schedule(
+    policy: SchedulerSpec,
     cores: &[CoreProfile],
     threads: &[ThreadProfile],
     rng: &mut SimRng,
@@ -245,8 +195,8 @@ pub fn schedule(
 
     // Select which cores participate.
     let selected: Vec<usize> = match policy {
-        SchedPolicy::Random => rng.sample_indices(cores.len(), n),
-        SchedPolicy::VarP | SchedPolicy::VarPAppP => {
+        SchedulerSpec::Random => rng.sample_indices(cores.len(), n),
+        SchedulerSpec::VarP | SchedulerSpec::VarPAppP => {
             // Lowest static power at maximum voltage first.
             let mut ranked: Vec<usize> = (0..cores.len()).collect();
             ranked.sort_by(|&a, &b| {
@@ -257,23 +207,19 @@ pub fn schedule(
             ranked.truncate(n);
             ranked
         }
-        SchedPolicy::VarF | SchedPolicy::VarFAppIpc => {
+        SchedulerSpec::VarF | SchedulerSpec::VarFAppIpc => {
             // Highest rated frequency first.
             let mut ranked: Vec<usize> = (0..cores.len()).collect();
             ranked.sort_by(|&a, &b| cores[b].max_freq_hz.total_cmp(&cores[a].max_freq_hz));
             ranked.truncate(n);
             ranked
         }
+        SchedulerSpec::ThermalMap => unreachable!("ThermalMap is not a Table 1 policy"),
     };
 
     // Decide the thread order over the selected cores.
     let thread_order: Vec<usize> = match policy {
-        SchedPolicy::Random | SchedPolicy::VarP | SchedPolicy::VarF => {
-            let mut order: Vec<usize> = (0..n).collect();
-            rng.shuffle(&mut order);
-            order
-        }
-        SchedPolicy::VarPAppP => {
+        SchedulerSpec::VarPAppP => {
             // Highest dynamic power first → onto lowest-static cores.
             let mut order: Vec<usize> = (0..n).collect();
             order.sort_by(|&a, &b| {
@@ -283,10 +229,16 @@ pub fn schedule(
             });
             order
         }
-        SchedPolicy::VarFAppIpc => {
+        SchedulerSpec::VarFAppIpc => {
             // Highest IPC first → onto highest-frequency cores.
             let mut order: Vec<usize> = (0..n).collect();
             order.sort_by(|&a, &b| threads[b].ipc.total_cmp(&threads[a].ipc));
+            order
+        }
+        // Random, VarP and VarF place threads in random order.
+        _ => {
+            let mut order: Vec<usize> = (0..n).collect();
+            rng.shuffle(&mut order);
             order
         }
     };
@@ -347,11 +299,11 @@ mod tests {
         let cores = fake_cores(10);
         let threads = fake_threads(6);
         for policy in [
-            SchedPolicy::Random,
-            SchedPolicy::VarP,
-            SchedPolicy::VarPAppP,
-            SchedPolicy::VarF,
-            SchedPolicy::VarFAppIpc,
+            SchedulerSpec::Random,
+            SchedulerSpec::VarP,
+            SchedulerSpec::VarPAppP,
+            SchedulerSpec::VarF,
+            SchedulerSpec::VarFAppIpc,
         ] {
             let mut rng = SimRng::seed_from(11);
             let mapping = schedule(policy, &cores, &threads, &mut rng);
@@ -364,7 +316,7 @@ mod tests {
         let cores = fake_cores(10);
         let threads = fake_threads(4);
         let mut rng = SimRng::seed_from(1);
-        let mapping = schedule(SchedPolicy::VarP, &cores, &threads, &mut rng);
+        let mapping = schedule(SchedulerSpec::VarP, &cores, &threads, &mut rng);
         assert_eq!(scheduled_cores(&mapping), vec![0, 1, 2, 3]);
     }
 
@@ -373,7 +325,7 @@ mod tests {
         let cores = fake_cores(10);
         let threads = fake_threads(3);
         let mut rng = SimRng::seed_from(2);
-        let mapping = schedule(SchedPolicy::VarF, &cores, &threads, &mut rng);
+        let mapping = schedule(SchedulerSpec::VarF, &cores, &threads, &mut rng);
         // Fastest cores are the lowest indices in the fake data.
         assert_eq!(scheduled_cores(&mapping), vec![0, 1, 2]);
     }
@@ -383,7 +335,7 @@ mod tests {
         let cores = fake_cores(8);
         let threads = fake_threads(4);
         let mut rng = SimRng::seed_from(3);
-        let mapping = schedule(SchedPolicy::VarPAppP, &cores, &threads, &mut rng);
+        let mapping = schedule(SchedulerSpec::VarPAppP, &cores, &threads, &mut rng);
         // Hottest thread (3) on coolest core (0), next (2) on core 1, ...
         assert_eq!(mapping[0], Some(3));
         assert_eq!(mapping[1], Some(2));
@@ -396,7 +348,7 @@ mod tests {
         let cores = fake_cores(8);
         let threads = fake_threads(4);
         let mut rng = SimRng::seed_from(4);
-        let mapping = schedule(SchedPolicy::VarFAppIpc, &cores, &threads, &mut rng);
+        let mapping = schedule(SchedulerSpec::VarFAppIpc, &cores, &threads, &mut rng);
         // Highest-IPC thread (3) on fastest core (0).
         assert_eq!(mapping[0], Some(3));
         assert_eq!(mapping[1], Some(2));
@@ -409,13 +361,13 @@ mod tests {
         let cores = fake_cores(20);
         let threads = fake_threads(5);
         let a = schedule(
-            SchedPolicy::Random,
+            SchedulerSpec::Random,
             &cores,
             &threads,
             &mut SimRng::seed_from(5),
         );
         let b = schedule(
-            SchedPolicy::Random,
+            SchedulerSpec::Random,
             &cores,
             &threads,
             &mut SimRng::seed_from(6),
@@ -428,7 +380,7 @@ mod tests {
         let cores = fake_cores(6);
         let threads = fake_threads(6);
         let mut rng = SimRng::seed_from(7);
-        let mapping = schedule(SchedPolicy::VarFAppIpc, &cores, &threads, &mut rng);
+        let mapping = schedule(SchedulerSpec::VarFAppIpc, &cores, &threads, &mut rng);
         assert!(mapping.iter().all(|m| m.is_some()));
         is_valid(&mapping, 6);
     }
@@ -439,7 +391,7 @@ mod tests {
         let cores = fake_cores(2);
         let threads = fake_threads(3);
         schedule(
-            SchedPolicy::Random,
+            SchedulerSpec::Random,
             &cores,
             &threads,
             &mut SimRng::seed_from(0),
@@ -448,8 +400,8 @@ mod tests {
 
     #[test]
     fn policy_names_match_paper() {
-        assert_eq!(SchedPolicy::VarPAppP.name(), "VarP&AppP");
-        assert_eq!(SchedPolicy::VarFAppIpc.name(), "VarF&AppIPC");
+        assert_eq!(SchedulerSpec::VarPAppP.name(), "VarP&AppP");
+        assert_eq!(SchedulerSpec::VarFAppIpc.name(), "VarF&AppIPC");
     }
 
     #[test]
@@ -457,13 +409,13 @@ mod tests {
         let cores = fake_cores(10);
         let threads = fake_threads(6);
         for policy in [
-            SchedPolicy::Random,
-            SchedPolicy::VarP,
-            SchedPolicy::VarPAppP,
-            SchedPolicy::VarF,
-            SchedPolicy::VarFAppIpc,
+            SchedulerSpec::Random,
+            SchedulerSpec::VarP,
+            SchedulerSpec::VarPAppP,
+            SchedulerSpec::VarF,
+            SchedulerSpec::VarFAppIpc,
         ] {
-            let mut boxed = policy.build();
+            let mut boxed = policy.build(&RuntimeConfig::paper_default()).unwrap();
             assert_eq!(boxed.name(), policy.name());
             let from_trait = boxed.assign(&cores, &threads, &mut SimRng::seed_from(9));
             let from_free = schedule(policy, &cores, &threads, &mut SimRng::seed_from(9));

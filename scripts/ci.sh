@@ -9,7 +9,10 @@
 #   scripts/ci.sh bench-smoke   additionally runs the timing benches
 #                               and the smoke-scale trace/figure bins,
 #                               then validates every BENCH_*.json with
-#                               the check_bench bin
+#                               the check_bench bin, then runs the
+#                               perfbench benchmark once per workload
+#                               (fails unless its pinned model metrics
+#                               match)
 #   scripts/ci.sh replay-smoke  additionally runs the deterministic-
 #                               replay gate: re-run the committed
 #                               scenario, checkpoint mid-run, restore,
@@ -78,6 +81,14 @@ if [[ "$mode" == bench-smoke ]]; then
   cargo run -q --release --offline -p vasp-bench --bin all -- --scale smoke
   cargo run -q --release --offline -p vasp-bench --bin trace -- --scale smoke
   cargo run -q --release --offline -p vasp-bench --bin check_bench -- --baseline "$baseline_dir"
+
+  # Repository benchmark: one short run per workload at the default
+  # seed. perfbench exits non-zero unless "correct": true, i.e. unless
+  # every model metric matches its pin in perfbench/expected.txt.
+  for workload in dvfs_sann dvfs_linopt fleet_va online_slo; do
+    cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+      --workload "$workload" --seconds 2 --trace 0
+  done
 fi
 
 if [[ "$mode" == replay-smoke ]]; then

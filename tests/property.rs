@@ -16,7 +16,8 @@ use vasp::vasched::manager::{
 };
 use vasp::vasched::metrics::ed2_index;
 use vasp::vasched::profile::{CoreProfile, ThreadProfile};
-use vasp::vasched::sched::{schedule, SchedPolicy, SchedulerSpec};
+use vasp::vasched::runtime::RuntimeConfig;
+use vasp::vasched::sched::SchedulerSpec;
 use vasp::vastats::{LineFit, SimRng};
 
 /// Simplex: on random feasible, bounded LPs, the solution is feasible
@@ -51,11 +52,11 @@ fn simplex_solution_is_feasible() {
 #[test]
 fn schedulers_produce_valid_assignments() {
     let policies = [
-        SchedPolicy::Random,
-        SchedPolicy::VarP,
-        SchedPolicy::VarPAppP,
-        SchedPolicy::VarF,
-        SchedPolicy::VarFAppIpc,
+        SchedulerSpec::Random,
+        SchedulerSpec::VarP,
+        SchedulerSpec::VarPAppP,
+        SchedulerSpec::VarF,
+        SchedulerSpec::VarFAppIpc,
     ];
     for seed in 0u64..40 {
         for &policy in &policies {
@@ -76,7 +77,10 @@ fn schedulers_produce_valid_assignments() {
                     profiled_on: 0,
                 })
                 .collect();
-            let mapping = schedule(policy, &cores, &threads, &mut rng);
+            let mapping = policy
+                .build(&RuntimeConfig::paper_default())
+                .unwrap()
+                .assign(&cores, &threads, &mut rng);
             let mut seen = vec![false; n_threads];
             for t in mapping.iter().flatten() {
                 assert!(*t < n_threads, "seed {seed} {policy:?}");
