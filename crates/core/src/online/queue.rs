@@ -1,11 +1,9 @@
 //! The discrete-event queue driving the online loop.
 //!
 //! Events are totally ordered by `(tick, kind priority, sequence)`:
-//! completions free cores before arrivals claim them, arrivals land
-//! before the scheduling tick that places them, and the DVFS tick runs
-//! after the schedule it budgets for — mirroring the batch timeline,
-//! where the OS epoch precedes the manager invocation at the same
-//! tick. The sequence number makes insertion order the deterministic
+//! completions free cores before arrivals claim them. The OS and DVFS
+//! boundaries are not events; the serving core keeps that timing grid.
+//! The sequence number makes insertion order the deterministic
 //! tie-break within a kind, so the loop's behaviour is a pure function
 //! of the pushed events.
 
@@ -19,10 +17,6 @@ pub enum EventKind {
     Completion(usize),
     /// A job enters the system (index into the arrival schedule).
     Arrival(usize),
-    /// OS scheduling epoch boundary.
-    OsTick,
-    /// DVFS interval boundary.
-    DvfsTick,
 }
 
 impl EventKind {
@@ -31,8 +25,6 @@ impl EventKind {
         match self {
             EventKind::Completion(_) => 0,
             EventKind::Arrival(_) => 1,
-            EventKind::OsTick => 2,
-            EventKind::DvfsTick => 3,
         }
     }
 }
@@ -132,8 +124,8 @@ mod tests {
     #[test]
     fn events_fire_in_tick_order() {
         let mut q = EventQueue::new();
-        q.push(5, EventKind::OsTick);
-        q.push(1, EventKind::DvfsTick);
+        q.push(5, EventKind::Arrival(1));
+        q.push(1, EventKind::Completion(4));
         q.push(3, EventKind::Arrival(0));
         assert_eq!(q.len(), 3);
         assert_eq!(q.pop_due(10).unwrap().tick, 1);
@@ -145,9 +137,8 @@ mod tests {
     #[test]
     fn same_tick_orders_by_kind_priority() {
         let mut q = EventQueue::new();
-        q.push(2, EventKind::DvfsTick);
         q.push(2, EventKind::Arrival(7));
-        q.push(2, EventKind::OsTick);
+        q.push(2, EventKind::Arrival(5));
         q.push(2, EventKind::Completion(3));
         let kinds: Vec<EventKind> = std::iter::from_fn(|| q.pop_due(2))
             .map(|e| e.kind)
@@ -157,8 +148,7 @@ mod tests {
             vec![
                 EventKind::Completion(3),
                 EventKind::Arrival(7),
-                EventKind::OsTick,
-                EventKind::DvfsTick,
+                EventKind::Arrival(5),
             ]
         );
     }
@@ -183,7 +173,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(4, EventKind::Arrival(2));
         q.push(4, EventKind::Arrival(0));
-        q.push(1, EventKind::OsTick);
+        q.push(1, EventKind::Completion(3));
         let (events, next_seq) = q.export();
         let mut restored = EventQueue::import(events, next_seq);
         // Future pushes tie-break identically in both queues.
@@ -200,7 +190,7 @@ mod tests {
     #[test]
     fn pop_due_respects_the_deadline() {
         let mut q = EventQueue::new();
-        q.push(8, EventKind::OsTick);
+        q.push(8, EventKind::Arrival(0));
         assert!(q.pop_due(7).is_none());
         assert!(q.pop_due(8).is_some());
     }

@@ -494,8 +494,6 @@ impl Snapshot {
                 EventKind::Arrival(i) => {
                     let _ = write!(out, ",\"arrival\",{i}]");
                 }
-                EventKind::OsTick => out.push_str(",\"os\"]"),
-                EventKind::DvfsTick => out.push_str(",\"dvfs\"]"),
             }
         }
         out.push_str("]}");
@@ -592,7 +590,7 @@ impl Snapshot {
         let queue = field(&doc, "queue")?;
         let mut queue_events = Vec::new();
         for (i, entry) in arr_field(queue, "events")?.iter().enumerate() {
-            queue_events.push(parse_queue_event(entry, i)?);
+            queue_events.extend(parse_queue_event(entry, i)?);
         }
 
         let mut jobs = Vec::new();
@@ -928,7 +926,12 @@ fn parse_machine_state(v: &JsonValue, pool: &[AppSpec]) -> Result<MachineState, 
     })
 }
 
-fn parse_queue_event(v: &JsonValue, i: usize) -> Result<(usize, u64, EventKind), SnapshotError> {
+/// One pending queue entry; `None` for the OS/DVFS boundary entries
+/// older snapshots carry, which the serving core's timing grid replaced.
+fn parse_queue_event(
+    v: &JsonValue,
+    i: usize,
+) -> Result<Option<(usize, u64, EventKind)>, SnapshotError> {
     let entry = v
         .as_arr()
         .ok_or_else(|| schema_err(&format!("queue.events[{i}]"), "an array"))?;
@@ -953,8 +956,7 @@ fn parse_queue_event(v: &JsonValue, i: usize) -> Result<(usize, u64, EventKind),
                 .ok_or_else(|| schema_err(&format!("queue.events[{i}]"), "an arrival index"))?,
             "queue.events.arrival",
         )?),
-        Some("os") => EventKind::OsTick,
-        Some("dvfs") => EventKind::DvfsTick,
+        Some("os" | "dvfs") => return Ok(None),
         _ => {
             return Err(schema_err(
                 &format!("queue.events[{i}]"),
@@ -962,7 +964,7 @@ fn parse_queue_event(v: &JsonValue, i: usize) -> Result<(usize, u64, EventKind),
             ))
         }
     };
-    Ok((tick, seq, kind))
+    Ok(Some((tick, seq, kind)))
 }
 
 fn parse_job(v: &JsonValue, i: usize, pool: &[AppSpec]) -> Result<JobRecord, SnapshotError> {
@@ -1077,6 +1079,17 @@ mod tests {
             let parsed = parse_control_state(&parse_json(&out).unwrap()).unwrap();
             assert_eq!(parsed, state);
         }
+    }
+
+    #[test]
+    fn boundary_queue_entries_from_older_snapshots_are_dropped() {
+        let parse = |json: &str| parse_queue_event(&parse_json(json).unwrap(), 0).unwrap();
+        assert_eq!(parse("[0,\"1\",\"os\"]"), None);
+        assert_eq!(parse("[10,\"2\",\"dvfs\"]"), None);
+        assert_eq!(
+            parse("[4,\"7\",\"arrival\",3]"),
+            Some((4, 7, EventKind::Arrival(3)))
+        );
     }
 
     #[test]
