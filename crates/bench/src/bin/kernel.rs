@@ -2,8 +2,9 @@
 //!
 //! Measures the public kernel entry points (`Machine::step`, thermal
 //! stepping, leakage evaluation, field sampling, LinOpt's re-solve,
-//! SAnn's annealing loop) plus the in-place scratch-buffer APIs; writes
-//! `results/BENCH_kernel.json`. The committed pre-optimization run is
+//! SAnn's annealing loop, per-reschedule thread profiling) plus the
+//! in-place scratch-buffer APIs; writes `results/BENCH_kernel.json`.
+//! The committed pre-optimization run is
 //! `results/BENCH_kernel_baseline.json`; `check_bench --baseline`
 //! diffs the two.
 //!
@@ -14,7 +15,8 @@
 //!   hold their promised speedups ([`STEP_SPEEDUP_MIN`]× on
 //!   `machine/step_1ms_20t`, [`FIELD_SPEEDUP_MIN`]× on the large-grid
 //!   field cases, [`SANN_SPEEDUP_MIN`]× per evaluation on
-//!   `anneal/sann_100k_20t`).
+//!   `anneal/sann_100k_20t`, [`PROFILE_SPEEDUP_MIN`]× on
+//!   `sched/thread_profiles_20t`).
 //! * `--cholesky-reference` — instead of benchmarking, time the
 //!   forced-Cholesky field path once per case and print ready-to-paste
 //!   baseline entries (a 64×64 dense factorization takes tens of
@@ -32,6 +34,7 @@ use vasched::manager::linopt::{linopt_levels, LinOpt};
 use vasched::manager::sann::sann_levels;
 use vasched::manager::{synthetic_core, PmView, PowerBudget, PowerManager};
 use vasched::obs::{parse_json, JsonValue};
+use vasched::profile::thread_profiles;
 use vasp_bench::json_report::BenchReport;
 use vasp_bench::timing::{measure, report_case, Measurement};
 use vastats::{GaussianField, SimRng, SphericalCorrelogram};
@@ -50,6 +53,11 @@ const FIELD_SPEEDUP_MIN: f64 = 10.0;
 /// over the committed baseline, measured before SAnn's cost became
 /// incremental and its Gaussian step and Metropolis test certified.
 const SANN_SPEEDUP_MIN: f64 = 1.4;
+
+/// `--gate`: required speedup of `sched/thread_profiles_20t` over the
+/// committed baseline, measured while every profiled thread still
+/// cloned the whole machine for its probe.
+const PROFILE_SPEEDUP_MIN: f64 = 2.0;
 
 /// The committed pre-optimization reference the gate reads.
 const BASELINE_PATH: &str = "results/BENCH_kernel_baseline.json";
@@ -123,6 +131,17 @@ fn bench_view(report: &mut BenchReport) {
         black_box(PmView::from_machine(&machine));
     });
     report.push_case("machine", "pm_view_from_machine", m);
+}
+
+/// One reschedule's profiling pass (paper §5.2): every thread of the
+/// 20-thread machine run briefly on a random core of a scratch probe.
+fn bench_profiles(report: &mut BenchReport) {
+    let machine = loaded_machine(20);
+    let mut rng = SimRng::seed_from(11);
+    let m = report_case("sched", "thread_profiles_20t", || {
+        black_box(thread_profiles(&machine, &mut rng));
+    });
+    report.push_case("sched", "thread_profiles_20t", m);
 }
 
 fn bench_thermal(report: &mut BenchReport) {
@@ -380,6 +399,7 @@ fn gate(report: &BenchReport) -> bool {
         ("field/build_64x64", FIELD_SPEEDUP_MIN),
         ("field/sample_pair_64x64", FIELD_SPEEDUP_MIN),
         ("anneal/sann_100k_20t", SANN_SPEEDUP_MIN),
+        ("sched/thread_profiles_20t", PROFILE_SPEEDUP_MIN),
     ] {
         let Some(then) = baseline_median(&doc, id) else {
             eprintln!("GATE FAIL: baseline has no case '{id}'");
@@ -415,6 +435,7 @@ fn main() {
     let mut report = BenchReport::new();
     bench_step(&mut report);
     bench_view(&mut report);
+    bench_profiles(&mut report);
     bench_thermal(&mut report);
     bench_leakage(&mut report);
     bench_field(&mut report);

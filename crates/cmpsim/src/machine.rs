@@ -1304,14 +1304,14 @@ impl Machine {
             self.faults.is_some(),
             "fault plan must be (re)installed before importing fault state"
         );
-        self.temps = state.temps.clone();
-        self.threads = state.threads.clone();
-        self.assignment = state.assignment.clone();
-        self.levels = state.levels.clone();
-        self.freq_caps = state.freq_caps.clone();
-        self.stall_s = state.stall_s.clone();
-        self.last_core_power = state.last_core_power.clone();
-        self.last_core_ipc = state.last_core_ipc.clone();
+        self.temps.clone_from(&state.temps);
+        self.threads.clone_from(&state.threads);
+        self.assignment.clone_from(&state.assignment);
+        self.levels.clone_from(&state.levels);
+        self.freq_caps.clone_from(&state.freq_caps);
+        self.stall_s.clone_from(&state.stall_s);
+        self.last_core_power.clone_from(&state.last_core_power);
+        self.last_core_ipc.clone_from(&state.last_core_ipc);
         self.last_total_power = state.last_total_power;
         self.dtm_events = state.dtm_events;
         self.energy_j = state.energy_j;
@@ -1575,6 +1575,56 @@ mod tests {
             assert_eq!(original.core_alive(c), restored.core_alive(c));
         }
         assert_eq!(original.energy_j.to_bits(), restored.energy_j.to_bits());
+    }
+
+    /// Importing onto a machine that has drifted from the checkpoint —
+    /// more threads, another assignment, other levels and caps, later
+    /// sensors — must overwrite every field (the buffer-reusing
+    /// `clone_from` path shrinks and overwrites in place) and step on
+    /// bit-identically.
+    #[test]
+    fn import_overwrites_a_diverged_machine() {
+        let mut original = loaded_machine(6, 23);
+        for _ in 0..10 {
+            original.step(0.001);
+        }
+        let state = original.export_state();
+
+        let mut probe = original.clone();
+        let pool = app_pool(&MachineConfig::paper_default().dynamic);
+        for spec in pool.iter().take(3) {
+            probe.add_thread(Thread::new(spec.clone()));
+        }
+        let mapping: Vec<Option<usize>> = (0..probe.core_count())
+            .map(|c| (c >= 11).then(|| c - 11).filter(|&t| t < 9))
+            .collect();
+        probe.assign(&mapping);
+        for core in 0..probe.core_count() {
+            probe.set_level(core, core % 3);
+        }
+        probe.set_uniform_frequency();
+        for _ in 0..7 {
+            probe.step(0.001);
+        }
+        assert_ne!(probe.export_state(), state);
+
+        probe.import_state(&state);
+        assert_eq!(
+            probe.export_state(),
+            state,
+            "import must overwrite every field"
+        );
+        for tick in 0..20 {
+            let a = original.step(0.001);
+            let b = probe.step(0.001);
+            assert_eq!(
+                a.total_power_w.to_bits(),
+                b.total_power_w.to_bits(),
+                "power diverges at tick {tick} after import"
+            );
+            assert_eq!(a.instructions.to_bits(), b.instructions.to_bits());
+        }
+        assert_eq!(probe.export_state(), original.export_state());
     }
 
     /// `step_profiled` must simulate exactly like `step` (same

@@ -25,7 +25,7 @@ use crate::serving::{FifoJobs, JobSource, ServingCore};
 use cmpsim::{Machine, StepStats};
 use vastats::SimRng;
 
-use super::FleetConfig;
+use super::{FleetConfig, FreqProfile};
 
 /// One job routed to a chip: the dispatch-level view of an arrival.
 #[derive(Debug, Clone)]
@@ -156,14 +156,14 @@ impl ChipSim {
     /// any cap), sorted descending. Under a tight budget this is where
     /// variation shows: a low-leakage die runs its cores at higher
     /// levels than a leaky one at the same watts.
-    pub fn effective_freq_profile(&self) -> Vec<f64> {
+    pub fn effective_freq_profile(&self) -> FreqProfile {
         let machine = self.core.machine();
         let mut v: Vec<f64> = (0..machine.core_count())
             .filter(|&c| machine.core_alive(c))
             .map(|c| machine.effective_freq(c))
             .collect();
         v.sort_by(|a, b| b.total_cmp(a));
-        v
+        v.into()
     }
 
     /// The chip's current power allocation (watts).

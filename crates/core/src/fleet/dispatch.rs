@@ -17,6 +17,46 @@
 //! same power.
 
 use crate::online::JobSpec;
+use std::ops::Deref;
+
+/// A chip's effective-frequency profile (Hz, sorted descending by its
+/// producer, [`super::ChipSim::effective_freq_profile`]) together with
+/// its total, summed once at construction. Read-only: it derefs to the
+/// frequency slice, and the total can never go stale.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FreqProfile {
+    hz: Vec<f64>,
+    total_hz: f64,
+}
+
+impl FreqProfile {
+    /// The summed frequencies (Hz): the same `iter().sum()` over the
+    /// same order, so bit-identical to summing the slice on demand.
+    pub fn total_hz(&self) -> f64 {
+        self.total_hz
+    }
+}
+
+impl Deref for FreqProfile {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.hz
+    }
+}
+
+impl From<Vec<f64>> for FreqProfile {
+    fn from(hz: Vec<f64>) -> Self {
+        let total_hz = hz.iter().sum();
+        Self { hz, total_hz }
+    }
+}
+
+impl FromIterator<f64> for FreqProfile {
+    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
+        iter.into_iter().collect::<Vec<f64>>().into()
+    }
+}
 
 /// The per-chip capability digest the dispatcher routes on.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +70,7 @@ pub struct ChipSummary {
     /// descending (Hz) — the chip's variation fingerprint as throttled
     /// by its budget: a low-leakage die runs measurably faster at the
     /// same watts.
-    pub freq_profile_hz: Vec<f64>,
+    pub freq_profile_hz: FreqProfile,
     /// Threads currently resident on cores.
     pub resident: usize,
     /// Jobs queued at the chip (routed or arrived, not yet admitted).
@@ -134,15 +174,17 @@ impl Dispatcher for VariationAware {
     }
 
     fn route(&mut self, _job: &JobSpec, summaries: &[ChipSummary]) -> usize {
+        // Each chip is scored once; the comparisons read the scores.
         summaries
             .iter()
+            .map(|s| (score(s), s.chip))
             .max_by(|a, b| {
                 // A NaN score (e.g. a poisoned backlog estimate) must
                 // lose to every real chip, not win the max.
-                crate::order::desc_nan_worst(score(b), score(a)).then(b.chip.cmp(&a.chip))
+                crate::order::desc_nan_worst(b.0, a.0).then(b.1.cmp(&a.1))
             })
             .expect("fleet has at least one chip")
-            .chip
+            .1
     }
 }
 
@@ -151,9 +193,24 @@ impl Dispatcher for VariationAware {
 /// beyond its free cores. A dead chip scores zero; every chip with a
 /// free core outranks every saturated chip of equal silicon.
 fn score(s: &ChipSummary) -> f64 {
-    let speed_hz: f64 = s.freq_profile_hz.iter().sum();
     let backlog = (s.load() + 1).saturating_sub(s.alive_cores);
-    speed_hz / (1.0 + backlog as f64)
+    s.freq_profile_hz.total_hz() / (1.0 + backlog as f64)
+}
+
+/// The pre-caching [`VariationAware::route`]: re-sums every profile
+/// and scores both sides of every comparison. The routing oracle.
+#[cfg(test)]
+fn route_reference(summaries: &[ChipSummary]) -> usize {
+    let score = |s: &ChipSummary| {
+        let speed_hz: f64 = s.freq_profile_hz.iter().sum();
+        let backlog = (s.load() + 1).saturating_sub(s.alive_cores);
+        speed_hz / (1.0 + backlog as f64)
+    };
+    summaries
+        .iter()
+        .max_by(|a, b| crate::order::desc_nan_worst(score(b), score(a)).then(b.chip.cmp(&a.chip)))
+        .expect("fleet has at least one chip")
+        .chip
 }
 
 /// The dispatcher selector — the spec-level counterpart of
@@ -208,7 +265,7 @@ mod tests {
         ChipSummary {
             chip,
             rack: 0,
-            freq_profile_hz: freqs.to_vec(),
+            freq_profile_hz: freqs.to_vec().into(),
             resident,
             queued,
             alive_cores: freqs.len(),
@@ -282,6 +339,57 @@ mod tests {
         // All saturated: smallest backlog wins.
         let s = vec![summary(0, &[4.0e9], 1, 4), summary(1, &[4.0e9], 1, 2)];
         assert_eq!(va.route(&j, &s), 1);
+    }
+
+    /// The scored-once route must pick exactly what the re-summing
+    /// `max_by` picks, on random fleets mixing NaN frequencies, dead
+    /// chips (empty profiles), saturated chips and exact score ties.
+    #[test]
+    fn variation_aware_matches_reference_route() {
+        let mut rng = vastats::SimRng::seed_from(31);
+        let mut va = VariationAware;
+        let j = job();
+        let levels = [3.0e9, 3.5e9, 4.0e9, 4.5e9];
+        for _ in 0..2_000 {
+            let chips = 1 + rng.index(12);
+            let mut s: Vec<ChipSummary> = (0..chips)
+                .map(|chip| {
+                    let alive = match rng.index(6) {
+                        0 => 0,
+                        _ => 1 + rng.index(4),
+                    };
+                    let mut freqs: Vec<f64> = (0..alive)
+                        .map(|_| match rng.index(10) {
+                            0 => f64::NAN,
+                            _ => levels[rng.index(levels.len())],
+                        })
+                        .collect();
+                    freqs.sort_by(|a, b| b.total_cmp(a));
+                    summary(chip, &freqs, rng.index(alive + 1), rng.index(4))
+                })
+                .collect();
+            if rng.index(4) == 0 {
+                // Reversed chip order: ties must still go to the lowest
+                // chip index, not the first position.
+                s.reverse();
+            }
+            assert_eq!(va.route(&j, &s), route_reference(&s), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn freq_profile_caches_the_slice_sum() {
+        let p = FreqProfile::from(vec![4.2e9, 4.0e9, 3.8e9]);
+        assert_eq!(p.total_hz().to_bits(), p.iter().sum::<f64>().to_bits());
+        assert_eq!(p.len(), 3);
+        let collected: FreqProfile = [1.5, 2.5].into_iter().collect();
+        assert_eq!(&collected[..], &[1.5, 2.5]);
+        assert_eq!(collected.total_hz(), 4.0);
+        let empty = FreqProfile::from(Vec::new());
+        assert_eq!(
+            empty.total_hz().to_bits(),
+            [0.0f64; 0].iter().sum::<f64>().to_bits()
+        );
     }
 
     #[test]

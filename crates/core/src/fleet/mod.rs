@@ -36,7 +36,7 @@ mod sim;
 pub use budget::{BudgetHierarchy, IntegralController, TierReport, CORRECTION_CAP};
 pub use chip::{ChipSim, EpochStats, FleetJob};
 pub use dispatch::{
-    ChipSummary, DispatchPolicy, Dispatcher, LeastLoaded, RoundRobin, VariationAware,
+    ChipSummary, DispatchPolicy, Dispatcher, FreqProfile, LeastLoaded, RoundRobin, VariationAware,
 };
 pub use sim::{build_fleet_chips, run_fleet, FleetOutcome, FleetSpec};
 

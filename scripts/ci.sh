@@ -75,7 +75,8 @@ if [[ "$mode" == bench-smoke ]]; then
   # The kernel bin's --gate additionally enforces the optimized-kernel
   # speedups against results/BENCH_kernel_baseline.json (>=8x on
   # machine/step_1ms_20t, >=10x on the large-grid field cases, >=1.4x
-  # per evaluation on anneal/sann_100k_20t).
+  # per evaluation on anneal/sann_100k_20t, >=2x on
+  # sched/thread_profiles_20t).
   cargo bench --offline -p vasp-bench
   cargo run -q --release --offline -p vasp-bench --bin kernel -- --gate
   cargo run -q --release --offline -p vasp-bench --bin all -- --scale smoke
