@@ -62,7 +62,8 @@ fn main() {
                 &runtime,
                 migration,
                 &mut rng,
-            );
+            )
+            .expect("thermal trial config is valid");
             mips += out.mips;
             peak += out.peak_temp_k - 273.15;
             max_aging += out.max_aging_s;

@@ -21,17 +21,17 @@
 //!   experiment (figure)          crates/core/src/experiments/*.rs
 //!        │  builds
 //!        ▼
-//!   TrialSpec ──► TrialRunner ──► run_trial_observed ──► Machine
-//!                     │                   │
-//!                     │                   └──► TrialObserver (telemetry, timing)
+//!   TrialSpec ──► TrialRunner ──► run_trial ──► Machine
+//!                     │               │
+//!                     │               └──► TrialObserver (telemetry, timing)
 //!                     └──► Vec<TrialResult> (ordered, deterministic)
 //! ```
 
 use crate::experiments::Context;
 use crate::manager::{ManagerSpec, PowerBudget};
-use crate::online::{run_online_observed, OnlineConfig, OnlineOutcome};
+use crate::online::{run_online, OnlineConfig, OnlineOutcome};
 use crate::runtime::{
-    run_trial_faulted, NullObserver, RuntimeConfig, TrialError, TrialObserver, TrialOutcome,
+    run_trial, NullObserver, RuntimeConfig, TrialError, TrialObserver, TrialOutcome,
 };
 use crate::sched::SchedulerSpec;
 use cmpsim::{FaultPlan, Machine, Mix, StepStats, Telemetry, Workload};
@@ -249,34 +249,6 @@ impl<'a> OnlineTrialSpecBuilder<'a> {
     }
 }
 
-/// One online arm's result within one trial.
-#[derive(Debug, Clone)]
-pub struct OnlineArmRun {
-    /// The serving outcome.
-    pub outcome: OnlineOutcome,
-    /// Wall-clock seconds this arm took (host time, not simulated).
-    pub wall_s: f64,
-}
-
-/// All online arms of one trial, in spec order.
-#[derive(Debug, Clone)]
-pub struct OnlineTrialResult {
-    /// Trial index within the batch.
-    pub trial: usize,
-    /// The derived seed this trial ran from.
-    pub trial_seed: u64,
-    /// One entry per [`OnlineTrialSpec::arms`] element.
-    pub arms: Vec<OnlineArmRun>,
-}
-
-impl OnlineTrialResult {
-    /// The outcomes alone, in arm order (wall-clock stripped — this is
-    /// what determinism comparisons should use).
-    pub fn outcomes(&self) -> Vec<&OnlineOutcome> {
-        self.arms.iter().map(|a| &a.outcome).collect()
-    }
-}
-
 /// A batch of independent trials: each manufactures a fresh die and
 /// workload from its own seed, then runs every arm on that pair.
 ///
@@ -404,33 +376,37 @@ impl<'a> TrialSpecBuilder<'a> {
     }
 }
 
-/// One arm's result within one trial.
+/// One arm's result within one trial: a batch [`TrialOutcome`] by
+/// default, an [`OnlineOutcome`] for online trials.
 #[derive(Debug, Clone)]
-pub struct ArmRun {
+pub struct ArmRun<R = TrialOutcome> {
     /// The trial outcome.
-    pub outcome: TrialOutcome,
+    pub outcome: R,
     /// Wall-clock seconds this arm took (host time, not simulated).
     pub wall_s: f64,
 }
 
 /// All arms of one trial, in spec order.
 #[derive(Debug, Clone)]
-pub struct TrialResult {
+pub struct TrialResult<R = TrialOutcome> {
     /// Trial index within the batch.
     pub trial: usize,
     /// The derived seed this trial ran from.
     pub trial_seed: u64,
-    /// One entry per [`TrialSpec::arms`] element.
-    pub arms: Vec<ArmRun>,
+    /// One entry per spec arm.
+    pub arms: Vec<ArmRun<R>>,
 }
 
-impl TrialResult {
+impl<R> TrialResult<R> {
     /// The outcomes alone, in arm order (wall-clock stripped — this is
     /// what determinism comparisons should use).
-    pub fn outcomes(&self) -> Vec<&TrialOutcome> {
+    pub fn outcomes(&self) -> Vec<&R> {
         self.arms.iter().map(|a| &a.outcome).collect()
     }
 }
+
+/// All online arms of one trial, in spec order.
+pub type OnlineTrialResult = TrialResult<OnlineOutcome>;
 
 /// Executes [`TrialSpec`] batches, optionally across OS threads.
 ///
@@ -500,9 +476,7 @@ impl TrialRunner {
     ///
     /// Propagates a panic from any trial.
     pub fn run(&self, spec: &TrialSpec<'_>) -> Vec<TrialResult> {
-        self.map(spec.trials, |trial| {
-            run_one(spec, trial, |_| NullObserver).0
-        })
+        strip(self.run_observed(spec, |_| NullObserver))
     }
 
     /// Like [`TrialRunner::run`], but builds one observer per arm (via
@@ -513,7 +487,40 @@ impl TrialRunner {
         O: TrialObserver + Send,
         F: Fn(usize) -> O + Sync,
     {
-        self.map(spec.trials, |trial| run_one(spec, trial, &make))
+        let frame = Frame {
+            ctx: spec.ctx,
+            seed: spec.seed,
+            plan: spec.plan,
+            fault_plan: &spec.fault_plan,
+            salts: spec.arms.iter().map(|a| a.rng_salt).collect(),
+        };
+        self.map(spec.trials, |trial| {
+            frame.run(
+                trial,
+                &make,
+                // One workload per trial, drawn from the trial stream;
+                // every arm runs on the shared machine, so thermal state
+                // carries over from arm to arm.
+                |machine, rng| {
+                    let workload = Workload::draw_mix(spec.pool, spec.threads, spec.mix, rng);
+                    (machine, workload)
+                },
+                |(machine, workload), ai, fault_plan, rng, observer| {
+                    let arm = &spec.arms[ai];
+                    run_trial(
+                        machine,
+                        workload,
+                        arm.policy,
+                        arm.manager,
+                        arm.budget,
+                        &arm.runtime,
+                        fault_plan,
+                        rng,
+                        observer,
+                    )
+                },
+            )
+        })
     }
 
     /// Runs every online serving trial of the spec, returning results
@@ -524,9 +531,7 @@ impl TrialRunner {
     ///
     /// Propagates a panic from any trial.
     pub fn run_online(&self, spec: &OnlineTrialSpec<'_>) -> Vec<OnlineTrialResult> {
-        self.map(spec.trials, |trial| {
-            run_one_online(spec, trial, |_| NullObserver).0
-        })
+        strip(self.run_online_observed(spec, |_| NullObserver))
     }
 
     /// Like [`TrialRunner::run_online`], but builds one observer per
@@ -542,23 +547,43 @@ impl TrialRunner {
         O: TrialObserver + Send,
         F: Fn(usize) -> O + Sync,
     {
-        self.map(spec.trials, |trial| run_one_online(spec, trial, &make))
-    }
-
-    /// Runs one fleet trial across this runner's workers — the
-    /// cluster-scale counterpart of [`TrialRunner::run_online`], same
-    /// guarantee: bit-identical across worker counts. See
-    /// [`crate::fleet::run_fleet`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrialError::Config`] when the fleet configuration is
-    /// invalid.
-    pub fn run_fleet(
-        &self,
-        spec: &crate::fleet::FleetSpec<'_>,
-    ) -> Result<crate::fleet::FleetOutcome, TrialError> {
-        crate::fleet::run_fleet(spec, self.workers)
+        let frame = Frame {
+            ctx: spec.ctx,
+            seed: spec.seed,
+            plan: spec.plan,
+            fault_plan: &spec.fault_plan,
+            salts: spec.arms.iter().map(|a| a.rng_salt).collect(),
+        };
+        self.map(spec.trials, |trial| {
+            frame.run(
+                trial,
+                &make,
+                |machine, _| machine,
+                // Unlike the batch path, every arm serves a clone of the
+                // cold manufactured machine: the serving curves compare
+                // policies on identical initial conditions, and letting
+                // arm N inherit arm N−1's thermal state would tax later
+                // arms with the leakage of an already-hot chip — an
+                // ordering artifact, not policy. Each arm draws its
+                // residents and arrival schedule from its own RNG, so
+                // salted arms replay the identical job stream.
+                |machine, ai, fault_plan, rng, observer| {
+                    let arm = &spec.arms[ai];
+                    run_online(
+                        &mut machine.clone(),
+                        spec.pool,
+                        spec.mix,
+                        arm.policy,
+                        arm.manager,
+                        arm.budget,
+                        &arm.config,
+                        fault_plan,
+                        rng,
+                        observer,
+                    )
+                },
+            )
+        })
     }
 
     /// Runs `count` independent jobs across the workers and returns
@@ -609,167 +634,73 @@ impl TrialRunner {
     }
 }
 
-/// Runs one trial of a spec: seed → die → machine → workload → arms.
-fn run_one<O, F>(spec: &TrialSpec<'_>, trial: usize, make: F) -> (TrialResult, Vec<O>)
-where
-    O: TrialObserver,
-    F: Fn(usize) -> O,
-{
-    let trial_seed = spec.plan.derive(spec.seed, trial);
-    let mut rng = SimRng::seed_from(trial_seed);
-    let die = spec.ctx.make_die(&mut rng);
-    let mut machine = spec.ctx.make_machine(&die);
-    let workload = Workload::draw_mix(spec.pool, spec.threads, spec.mix, &mut rng);
-    // Every arm of this trial shares one fault timeline, re-seeded per
-    // trial so trials see independent fault noise.
-    let fault_plan = spec
-        .fault_plan
-        .clone()
-        .with_seed(spec.fault_plan.seed ^ trial_seed);
-
-    let mut arms = Vec::with_capacity(spec.arms.len());
-    let mut observers = Vec::with_capacity(spec.arms.len());
-    for (ai, arm) in spec.arms.iter().enumerate() {
-        let mut observer = make(ai);
-        let start = Instant::now();
-        let result = match arm.rng_salt {
-            Some(salt) => run_trial_faulted(
-                &mut machine,
-                &workload,
-                arm.policy,
-                arm.manager,
-                arm.budget,
-                &arm.runtime,
-                &fault_plan,
-                &mut SimRng::seed_from(trial_seed ^ salt),
-                &mut observer,
-            ),
-            None => run_trial_faulted(
-                &mut machine,
-                &workload,
-                arm.policy,
-                arm.manager,
-                arm.budget,
-                &arm.runtime,
-                &fault_plan,
-                &mut rng,
-                &mut observer,
-            ),
-        };
-        let outcome = result.unwrap_or_else(|e| panic!("trial failed: {e}"));
-        arms.push(ArmRun {
-            outcome,
-            wall_s: start.elapsed().as_secs_f64(),
-        });
-        observers.push(observer);
-    }
-    (
-        TrialResult {
-            trial,
-            trial_seed,
-            arms,
-        },
-        observers,
-    )
+/// Drops the observers from observed results.
+fn strip<T>(observed: Vec<(T, Vec<NullObserver>)>) -> Vec<T> {
+    observed.into_iter().map(|(result, _)| result).collect()
 }
 
-/// Runs one online trial of a spec: seed → die → machine → arms. The
-/// workload (initial residents + arrival schedule) is drawn inside
-/// [`run_online`] from each arm's RNG, so salted arms replay the
-/// identical job stream.
-fn run_one_online<O, F>(
-    spec: &OnlineTrialSpec<'_>,
-    trial: usize,
-    make: F,
-) -> (OnlineTrialResult, Vec<O>)
-where
-    O: TrialObserver,
-    F: Fn(usize) -> O,
-{
-    let trial_seed = spec.plan.derive(spec.seed, trial);
-    let mut rng = SimRng::seed_from(trial_seed);
-    let die = spec.ctx.make_die(&mut rng);
-    let machine = spec.ctx.make_machine(&die);
-    // Every arm of this trial shares one fault timeline, re-seeded per
-    // trial so trials see independent fault noise.
-    let fault_plan = spec
-        .fault_plan
-        .clone()
-        .with_seed(spec.fault_plan.seed ^ trial_seed);
-
-    let mut arms = Vec::with_capacity(spec.arms.len());
-    let mut observers = Vec::with_capacity(spec.arms.len());
-    for (ai, arm) in spec.arms.iter().enumerate() {
-        let mut observer = make(ai);
-        let start = Instant::now();
-        // Unlike the batch path, every arm serves from the cold
-        // manufactured machine: the serving curves compare policies on
-        // identical initial conditions, and letting arm N inherit arm
-        // N−1's thermal state would tax later arms with the leakage of
-        // an already-hot chip — an ordering artifact, not policy.
-        let mut arm_machine = machine.clone();
-        let result = match arm.rng_salt {
-            Some(salt) => run_online_observed(
-                &mut arm_machine,
-                spec.pool,
-                spec.mix,
-                arm.policy,
-                arm.manager,
-                arm.budget,
-                &arm.config,
-                &fault_plan,
-                &mut SimRng::seed_from(trial_seed ^ salt),
-                &mut observer,
-            ),
-            None => run_online_observed(
-                &mut arm_machine,
-                spec.pool,
-                spec.mix,
-                arm.policy,
-                arm.manager,
-                arm.budget,
-                &arm.config,
-                &fault_plan,
-                &mut rng,
-                &mut observer,
-            ),
-        };
-        let outcome = result.unwrap_or_else(|e| panic!("online trial failed: {e}"));
-        arms.push(OnlineArmRun {
-            outcome,
-            wall_s: start.elapsed().as_secs_f64(),
-        });
-        observers.push(observer);
-    }
-    (
-        OnlineTrialResult {
-            trial,
-            trial_seed,
-            arms,
-        },
-        observers,
-    )
+/// What the per-trial protocol reads from a batch or online spec.
+struct Frame<'s> {
+    ctx: &'s Context,
+    seed: u64,
+    plan: SeedPlan,
+    fault_plan: &'s FaultPlan,
+    /// Each arm's RNG salt, in arm order.
+    salts: Vec<Option<u64>>,
 }
 
-/// Per-arm mean over trials of `metric(outcome)` for online results,
-/// unnormalized — the open-system counterpart of [`mean_metric`].
-///
-/// # Panics
-///
-/// Panics if `results` is empty.
-pub fn mean_online_metric(
-    results: &[OnlineTrialResult],
-    metric: impl Fn(&OnlineOutcome) -> f64,
-) -> Vec<f64> {
-    assert!(!results.is_empty(), "no trials to average");
-    let arms = results[0].arms.len();
-    let mut sums = vec![0.0f64; arms];
-    for r in results {
-        for (ai, arm) in r.arms.iter().enumerate() {
-            sums[ai] += metric(&arm.outcome);
+impl Frame<'_> {
+    /// Runs one trial: seed → die → machine → per-trial fault plan →
+    /// arms. `setup` turns the cold machine (and the trial stream) into
+    /// what every arm runs against; `serve` runs arm `ai` on it. A
+    /// salted arm runs from `SimRng::seed_from(trial_seed ^ salt)`, an
+    /// unsalted one continues the trial stream.
+    fn run<S, R, O>(
+        &self,
+        trial: usize,
+        make: impl Fn(usize) -> O,
+        setup: impl FnOnce(Machine, &mut SimRng) -> S,
+        mut serve: impl FnMut(&mut S, usize, &FaultPlan, &mut SimRng, &mut O) -> Result<R, TrialError>,
+    ) -> (TrialResult<R>, Vec<O>) {
+        let trial_seed = self.plan.derive(self.seed, trial);
+        let mut rng = SimRng::seed_from(trial_seed);
+        let die = self.ctx.make_die(&mut rng);
+        let mut shared = setup(self.ctx.make_machine(&die), &mut rng);
+        // Every arm of this trial shares one fault timeline, re-seeded
+        // per trial so trials see independent fault noise.
+        let fault_plan = self
+            .fault_plan
+            .clone()
+            .with_seed(self.fault_plan.seed ^ trial_seed);
+
+        let mut arms = Vec::with_capacity(self.salts.len());
+        let mut observers = Vec::with_capacity(self.salts.len());
+        for (ai, salt) in self.salts.iter().enumerate() {
+            let mut observer = make(ai);
+            let start = Instant::now();
+            let mut salted;
+            let arm_rng = match salt {
+                Some(salt) => {
+                    salted = SimRng::seed_from(trial_seed ^ salt);
+                    &mut salted
+                }
+                None => &mut rng,
+            };
+            let outcome = serve(&mut shared, ai, &fault_plan, arm_rng, &mut observer)
+                .unwrap_or_else(|e| panic!("trial failed: {e}"));
+            arms.push(ArmRun {
+                outcome,
+                wall_s: start.elapsed().as_secs_f64(),
+            });
+            observers.push(observer);
         }
+        let result = TrialResult {
+            trial,
+            trial_seed,
+            arms,
+        };
+        (result, observers)
     }
-    sums.iter().map(|s| s / results.len() as f64).collect()
 }
 
 /// Per-arm mean over trials of `metric(outcome) / metric(first arm)` —
@@ -806,12 +737,13 @@ pub fn mean_relative_to(
     sums.iter().map(|s| s / results.len() as f64).collect()
 }
 
-/// Per-arm mean over trials of `metric(outcome)`, unnormalized.
+/// Per-arm mean over trials of `metric(outcome)`, unnormalized (batch
+/// or online results alike).
 ///
 /// # Panics
 ///
 /// Panics if `results` is empty.
-pub fn mean_metric(results: &[TrialResult], metric: impl Fn(&TrialOutcome) -> f64) -> Vec<f64> {
+pub fn mean_metric<R>(results: &[TrialResult<R>], metric: impl Fn(&R) -> f64) -> Vec<f64> {
     assert!(!results.is_empty(), "no trials to average");
     let arms = results[0].arms.len();
     let mut sums = vec![0.0f64; arms];
@@ -863,11 +795,6 @@ impl TelemetryObserver {
     /// The recorded trace.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Consumes the observer, yielding the trace.
-    pub fn into_telemetry(self) -> Telemetry {
-        self.telemetry
     }
 }
 

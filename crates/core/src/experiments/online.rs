@@ -10,7 +10,7 @@
 //! jobs per second than Foxton\* once the chip saturates.
 
 use super::{Scale, Series, ServingSite};
-use crate::engine::{mean_online_metric, OnlineArm, OnlineTrialSpec, SeedPlan, TrialRunner};
+use crate::engine::{mean_metric, OnlineArm, OnlineTrialSpec, SeedPlan, TrialRunner};
 use crate::manager::{ManagerSpec, PowerBudget};
 use crate::online::{ArrivalConfig, OnlineConfig, ServicePolicy};
 use crate::runtime::RuntimeConfig;
@@ -132,11 +132,11 @@ pub fn arrival_sweep(scale: &Scale, seed: u64) -> ArrivalSweep {
             };
             let results = runner.run_online(&spec);
             vec![
-                mean_online_metric(&results, |o| o.jobs_per_s()),
-                mean_online_metric(&results, |o| o.latency.map_or(f64::NAN, |l| l.p95_ms)),
-                mean_online_metric(&results, |o| o.utilization),
-                mean_online_metric(&results, |o| o.chip.avg_power_w),
-                mean_online_metric(&results, |o| o.latency.map_or(0.0, |l| l.dropped as f64)),
+                mean_metric(&results, |o| o.jobs_per_s()),
+                mean_metric(&results, |o| o.latency.map_or(f64::NAN, |l| l.p95_ms)),
+                mean_metric(&results, |o| o.utilization),
+                mean_metric(&results, |o| o.chip.avg_power_w),
+                mean_metric(&results, |o| o.latency.map_or(0.0, |l| l.dropped as f64)),
             ]
         })
         .collect();

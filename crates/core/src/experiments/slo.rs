@@ -22,7 +22,7 @@
 
 use super::online::{serving_budget, MEAN_JOB_INSTRUCTIONS};
 use super::{Scale, Series, ServingSite};
-use crate::engine::{mean_online_metric, OnlineArm, OnlineTrialSpec, SeedPlan, TrialRunner};
+use crate::engine::{mean_metric, OnlineArm, OnlineTrialSpec, SeedPlan, TrialRunner};
 use crate::manager::ManagerSpec;
 use crate::online::{ArrivalConfig, OnlineConfig, ServicePolicy};
 use crate::runtime::RuntimeConfig;
@@ -140,10 +140,10 @@ pub fn window_sweep(scale: &Scale, seed: u64) -> SloSweep {
     let results = runner.run_online(&spec);
 
     let horizon_s = scale.duration_ms / 1e3;
-    let completed = mean_online_metric(&results, |o| o.jobs_per_s());
-    let p99 = mean_online_metric(&results, |o| o.latency.map_or(f64::NAN, |l| l.p99_ms));
-    let shed = mean_online_metric(&results, |o| o.shed as f64 / horizon_s);
-    let migrations = mean_online_metric(&results, |o| o.migrations as f64);
+    let completed = mean_metric(&results, |o| o.jobs_per_s());
+    let p99 = mean_metric(&results, |o| o.latency.map_or(f64::NAN, |l| l.p99_ms));
+    let shed = mean_metric(&results, |o| o.shed as f64 / horizon_s);
+    let migrations = mean_metric(&results, |o| o.migrations as f64);
 
     // Arm 0 is the baseline; repeat it across the x axis as a flat
     // reference line next to the per-window SLO series.

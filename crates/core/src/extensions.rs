@@ -15,7 +15,7 @@
 //! temperature accumulate in a [`TrialObserver`] over every tick.
 
 use crate::manager::{ManagerSpec, PowerBudget};
-use crate::runtime::{serve_closed, RuntimeConfig, TrialObserver};
+use crate::runtime::{serve_closed, RuntimeConfig, TrialError, TrialObserver};
 use crate::sched::SchedulerSpec;
 use cmpsim::{FaultPlan, Machine, StepStats, Workload};
 use vastats::SimRng;
@@ -156,12 +156,12 @@ impl TrialObserver for ThermalProbe {
     }
 }
 
-/// Like [`crate::runtime::run_trial`] but with optional
+/// Like a fault-free [`crate::runtime::run_trial`] but with optional
 /// temperature-triggered migration and wearout tracking.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics under the same conditions as `run_trial`.
+/// Returns [`TrialError`] under the same conditions as `run_trial`.
 #[allow(clippy::too_many_arguments)] // mirrors run_trial + migration knob
 pub fn run_thermal_trial(
     machine: &mut Machine,
@@ -172,7 +172,7 @@ pub fn run_thermal_trial(
     config: &RuntimeConfig,
     migration: Option<MigrationConfig>,
     rng: &mut SimRng,
-) -> ThermalOutcome {
+) -> Result<ThermalOutcome, TrialError> {
     let mut probe = ThermalProbe {
         tracker: WearoutTracker::new(machine.core_count()),
         peak_temp_k: 0.0,
@@ -189,16 +189,15 @@ pub fn run_thermal_trial(
         migration,
         rng,
         &mut probe,
-    )
-    .unwrap_or_else(|e| panic!("thermal trial failed: {e}"));
-    ThermalOutcome {
+    )?;
+    Ok(ThermalOutcome {
         mips: core.machine().average_mips(),
         avg_power_w: core.machine().average_power(),
         peak_temp_k: probe.peak_temp_k,
         migrations: core.thermal_migrations,
         max_aging_s: probe.tracker.max_aging_s(),
         mean_aging_s: probe.tracker.mean_active_aging_s(),
-    }
+    })
 }
 
 /// Moves the thread on the hottest active core to the coolest idle
@@ -236,6 +235,7 @@ pub(crate) fn try_migrate(machine: &mut Machine, trigger_k: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::ConfigError;
     use cmpsim::{app_pool, MachineConfig};
     use floorplan::paper_20_core;
     use varius::{DieGenerator, VariationConfig};
@@ -311,6 +311,7 @@ mod tests {
                 migration,
                 &mut SimRng::seed_from(5),
             )
+            .unwrap()
         };
         let fixed = run(None);
         let migrated = run(Some(MigrationConfig {
@@ -344,6 +345,7 @@ mod tests {
                 migration,
                 &mut SimRng::seed_from(8),
             )
+            .unwrap()
         };
         let fixed = run(None);
         let migrated = run(Some(MigrationConfig {
@@ -381,6 +383,7 @@ mod tests {
                 migration,
                 &mut SimRng::seed_from(5),
             )
+            .unwrap()
         };
         let bits = |o: &ThermalOutcome| {
             [
@@ -454,6 +457,30 @@ mod tests {
     }
 
     #[test]
+    fn invalid_runtime_is_an_error() {
+        let pool = app_pool(&MachineConfig::paper_default().dynamic);
+        let w = Workload::draw(&pool, 4, &mut SimRng::seed_from(1));
+        let bad = RuntimeConfig {
+            os_interval_ms: 5.0,
+            ..runtime()
+        };
+        let result = run_thermal_trial(
+            &mut machine(2),
+            &w,
+            SchedulerSpec::Random,
+            ManagerSpec::None,
+            PowerBudget::high_performance(4),
+            &bad,
+            None,
+            &mut SimRng::seed_from(3),
+        );
+        assert_eq!(
+            result.unwrap_err(),
+            TrialError::Config(ConfigError::OsShorterThanDvfs)
+        );
+    }
+
+    #[test]
     fn full_machine_cannot_migrate() {
         let pool = app_pool(&MachineConfig::paper_default().dynamic);
         let w = Workload::draw(&pool, 20, &mut SimRng::seed_from(9));
@@ -468,7 +495,8 @@ mod tests {
             &runtime(),
             Some(MigrationConfig::default_policy()),
             &mut SimRng::seed_from(11),
-        );
+        )
+        .unwrap();
         assert_eq!(out.migrations, 0, "no idle cores to migrate to");
     }
 }

@@ -90,11 +90,6 @@ impl ChipSummary {
         self.resident + self.queued
     }
 
-    /// Unused power allocation (watts, never negative).
-    pub fn headroom_w(&self) -> f64 {
-        (self.budget_w - self.power_w).max(0.0)
-    }
-
     /// Summed effective frequency of the cores still free after the
     /// current load is placed fastest-first (Hz; 0 when saturated):
     /// more terms = more free cores, faster terms = faster free cores.

@@ -66,8 +66,11 @@
 //!     ManagerSpec::LinOpt,
 //!     budget,
 //!     &config,
+//!     &FaultPlan::none(),
 //!     &mut rng,
-//! );
+//!     &mut NullObserver,
+//! )
+//! .unwrap();
 //! assert!(outcome.mips > 0.0);
 //! assert!(outcome.avg_power_w <= budget.chip_w * 1.15);
 //! ```
@@ -107,12 +110,10 @@ pub mod prelude {
     };
     pub use crate::metrics::{ed2_index, weighted_mips};
     pub use crate::obs::{MetricsRegistry, TraceObserver};
-    pub use crate::online::{
-        run_online, run_online_faulted, ArrivalConfig, LatencyStats, OnlineConfig, OnlineOutcome,
-    };
+    pub use crate::online::{run_online, ArrivalConfig, LatencyStats, OnlineConfig, OnlineOutcome};
     pub use crate::profile::{CoreProfile, ThreadProfile};
     pub use crate::runtime::{
-        run_trial, run_trial_faulted, ConfigError, RuntimeConfig, TrialError, TrialObserver,
+        run_trial, ConfigError, NullObserver, RuntimeConfig, TrialError, TrialObserver,
         TrialOutcome,
     };
     pub use crate::sched::{Scheduler, SchedulerSpec};

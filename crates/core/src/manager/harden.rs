@@ -219,14 +219,6 @@ impl SensorConditioner {
         self.state.iter_mut().for_each(|s| *s = None);
     }
 
-    /// Drops one core's smoothing state (its next reading passes
-    /// through unsmoothed).
-    pub fn reset_core(&mut self, core: usize) {
-        if let Some(s) = self.state.get_mut(core) {
-            *s = None;
-        }
-    }
-
     /// Reconciles the filter with the current thread-to-core
     /// `assignment`: any core whose resident thread differs from the
     /// one its state was built on — a migration, a parked thread, a
@@ -508,12 +500,6 @@ impl HardenedManager {
     /// [`SolveStatus::Fallback`].
     pub fn last_solve(&self) -> Option<SolveReport> {
         self.last_report
-    }
-
-    /// Cumulative [`SensorConditioner`] intervention counts (all zero
-    /// until the hardened path runs).
-    pub fn conditioner_stats(&self) -> ConditionStats {
-        self.conditioner.stats()
     }
 
     /// Captures the front end's cross-interval state for a checkpoint.

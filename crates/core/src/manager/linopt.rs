@@ -103,7 +103,7 @@ pub fn fit_core_into(
 /// stateful [`LinOpt`] manager owns one; the free functions run over a
 /// throwaway, so all paths compute identical results.
 #[derive(Debug, Clone, Default)]
-pub struct LinOptWorkspace {
+struct LinOptWorkspace {
     solver: SolveWorkspace,
     lp: Option<Problem>,
     coefs: Vec<LinOptCoefficients>,
@@ -112,13 +112,6 @@ pub struct LinOptWorkspace {
     power_row: Vec<f64>,
     f_points: Vec<(f64, f64)>,
     p_points: Vec<(f64, f64)>,
-}
-
-impl LinOptWorkspace {
-    /// An empty workspace; buffers are sized by the first solve.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Computes LinOpt's level assignment for the active cores.
@@ -240,7 +233,7 @@ fn assemble_lp(
 /// Panics if the view is empty.
 pub fn chip_power_shadow_price(view: &PmView, budget: &PowerBudget) -> Option<f64> {
     assert!(!view.is_empty(), "no active cores to manage");
-    let mut ws = LinOptWorkspace::new();
+    let mut ws = LinOptWorkspace::default();
     if !assemble_lp(view, budget, FIT_POINTS, &mut ws) {
         return None;
     }
@@ -251,7 +244,8 @@ pub fn chip_power_shadow_price(view: &PmView, budget: &PowerBudget) -> Option<f6
 }
 
 /// LinOpt with explicit fit-point count and rounding policy — the knobs
-/// the ablation experiments turn.
+/// the ablation experiments turn. A cold solve; solver failure pins
+/// minimum levels, as [`LinOpt`] does.
 ///
 /// # Panics
 ///
@@ -262,80 +256,21 @@ pub fn linopt_levels_with(
     fit_points: usize,
     rounding: RoundingPolicy,
 ) -> Vec<usize> {
-    linopt_levels_warm(view, budget, fit_points, rounding, &mut None)
-}
-
-/// The full LinOpt pipeline with a warm-start slot: `warm` carries the
-/// previous Simplex basis into this solve and receives the new one. The
-/// stateful [`LinOpt`] manager threads its basis through here; the free
-/// functions pass `&mut None` (a cold solve).
-///
-/// # Panics
-///
-/// Panics if the view is empty or `fit_points < 2`.
-pub fn linopt_levels_warm(
-    view: &PmView,
-    budget: &PowerBudget,
-    fit_points: usize,
-    rounding: RoundingPolicy,
-    warm: &mut Option<Vec<usize>>,
-) -> Vec<usize> {
-    // Legacy behavior: solver failure silently pins minimum levels
-    // (the closest the machine can get to an unreachable budget).
-    try_linopt_levels_warm(view, budget, fit_points, rounding, warm)
+    let mut ws = LinOptWorkspace::default();
+    solve(view, budget, fit_points, rounding, &mut None, &mut ws)
+        .0
         .unwrap_or_else(|_| view.min_levels())
 }
 
-/// [`linopt_levels_warm`] that surfaces solver failure instead of
-/// pinning minimum levels: `Err(SolverError::Infeasible)` when even the
-/// all-minimum floor exceeds the chip budget, and
-/// `Err(SolverError::NumericalFailure)` when the Simplex solve breaks
-/// down. The hardened control path uses this to fall back to the
-/// chip-wide manager with a logged degradation event.
-///
-/// # Panics
-///
-/// Panics if the view is empty or `fit_points < 2`.
-pub fn try_linopt_levels_warm(
-    view: &PmView,
-    budget: &PowerBudget,
-    fit_points: usize,
-    rounding: RoundingPolicy,
-    warm: &mut Option<Vec<usize>>,
-) -> Result<Vec<usize>, SolverError> {
-    try_linopt_levels_traced(view, budget, fit_points, rounding, warm).0
-}
-
-/// [`try_linopt_levels_warm`] plus the solver-side cost of the call:
-/// Simplex pivot count and warm-start disposition. This is the
-/// instrumented entry the stateful [`LinOpt`] manager uses to feed
-/// [`PowerManager::last_solve`]; the stats are byproducts of work the
-/// solve does anyway, so tracing costs nothing extra.
-///
-/// # Panics
-///
-/// Panics if the view is empty or `fit_points < 2`.
-pub fn try_linopt_levels_traced(
-    view: &PmView,
-    budget: &PowerBudget,
-    fit_points: usize,
-    rounding: RoundingPolicy,
-    warm: &mut Option<Vec<usize>>,
-) -> (Result<Vec<usize>, SolverError>, usize, WarmStart) {
-    let mut ws = LinOptWorkspace::new();
-    try_linopt_levels_traced_with(view, budget, fit_points, rounding, warm, &mut ws)
-}
-
-/// [`try_linopt_levels_traced`] over a caller-owned [`LinOptWorkspace`]:
-/// the LP, the Simplex tableau, and every assembly vector are recycled
-/// across intervals, so the steady-state 10 ms re-solve allocates only
-/// the returned level vector. Results are identical to the throwaway-
-/// workspace path.
-///
-/// # Panics
-///
-/// Panics if the view is empty or `fit_points < 2`.
-pub fn try_linopt_levels_traced_with(
+/// The full LinOpt pipeline over a caller-owned workspace, which the
+/// steady-state 10 ms re-solve recycles (it allocates only the returned
+/// levels). `warm` carries the previous Simplex basis into this solve
+/// and receives the new one; `None` is a cold solve. Returns the levels
+/// — `Err(SolverError::Infeasible)` when even the all-minimum floor
+/// exceeds the chip budget, `Err(SolverError::NumericalFailure)` when
+/// the Simplex solve breaks down — plus the pivot count and warm-start
+/// disposition, byproducts of work the solve does anyway.
+fn solve(
     view: &PmView,
     budget: &PowerBudget,
     fit_points: usize,
@@ -407,54 +342,28 @@ pub fn try_linopt_levels_traced_with(
     (Ok(levels), solution.pivots, warm_disposition)
 }
 
-/// The stateful LinOpt controller: a [`PowerManager`] that warm-starts
+/// The stateful LinOpt controller in the paper's configuration (three
+/// fit points, round-down): a [`PowerManager`] that warm-starts
 /// each Simplex solve from the previous interval's optimal basis.
 /// Consecutive DVFS intervals see slowly drifting IPC and power
 /// readings, so the basis usually survives and phase 2 converges in a
 /// handful of pivots; the chosen levels are identical to a cold solve.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LinOpt {
-    fit_points: usize,
-    rounding: RoundingPolicy,
     basis: Option<Vec<usize>>,
     last: Option<SolveReport>,
     ws: LinOptWorkspace,
 }
 
 impl LinOpt {
-    /// The paper's configuration: three fit points, round-down.
+    /// A controller with no warm basis yet.
     pub fn new() -> Self {
-        Self {
-            fit_points: FIT_POINTS,
-            rounding: RoundingPolicy::Down,
-            basis: None,
-            last: None,
-            ws: LinOptWorkspace::new(),
-        }
-    }
-
-    /// Overrides the number of power-fit points (the §5.2 ablation).
-    pub fn with_fit_points(mut self, fit_points: usize) -> Self {
-        assert!(fit_points >= 2, "need at least two fit points");
-        self.fit_points = fit_points;
-        self
-    }
-
-    /// Overrides the level-rounding policy.
-    pub fn with_rounding(mut self, rounding: RoundingPolicy) -> Self {
-        self.rounding = rounding;
-        self
+        Self::default()
     }
 
     /// Whether a warm-start basis is currently cached.
     pub fn has_warm_basis(&self) -> bool {
         self.basis.is_some()
-    }
-}
-
-impl Default for LinOpt {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -476,11 +385,11 @@ impl PowerManager for LinOpt {
         budget: &PowerBudget,
         _rng: &mut SimRng,
     ) -> Result<Vec<usize>, SolverError> {
-        let (result, pivots, warm) = try_linopt_levels_traced_with(
+        let (result, pivots, warm) = solve(
             view,
             budget,
-            self.fit_points,
-            self.rounding,
+            FIT_POINTS,
+            RoundingPolicy::Down,
             &mut self.basis,
             &mut self.ws,
         );

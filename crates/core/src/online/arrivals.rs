@@ -8,6 +8,7 @@
 //! The whole schedule is generated up front from one RNG, so the event
 //! loop's behaviour can never perturb the workload it serves.
 
+use crate::runtime::ConfigError;
 use cmpsim::{AppSpec, Mix};
 use vastats::SimRng;
 
@@ -52,25 +53,17 @@ impl ArrivalConfig {
         }
     }
 
-    /// Validates rates and budgets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is negative or NaN, the mean budget is not
-    /// positive, or the jitter is outside `[0, 1)`.
-    pub fn validate_or_panic(&self) {
-        assert!(
-            self.rate_per_s >= 0.0 && !self.rate_per_s.is_nan(),
-            "arrival rate must be non-negative"
-        );
-        assert!(
-            self.mean_instructions > 0.0,
-            "mean instruction budget must be positive"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.instructions_jitter),
-            "budget jitter must be in [0, 1)"
-        );
+    /// Validates rates and budgets: the rate must be finite and
+    /// non-negative (an infinite rate spaces arrivals 0 ms apart, so
+    /// the schedule never reaches the horizon), the mean budget
+    /// positive, and the jitter in `[0, 1)`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let rate_ok = self.rate_per_s >= 0.0 && self.rate_per_s.is_finite();
+        let work_ok = self.mean_instructions > 0.0;
+        if !rate_ok || !work_ok || !(0.0..1.0).contains(&self.instructions_jitter) {
+            return Err(ConfigError::BadArrivalProcess);
+        }
+        Ok(())
     }
 }
 
@@ -108,7 +101,9 @@ pub fn generate_arrivals(
     horizon_ms: f64,
     rng: &mut SimRng,
 ) -> Vec<JobSpec> {
-    config.validate_or_panic();
+    if let Err(e) = config.validate() {
+        panic!("invalid arrival process: {e}");
+    }
     assert!(horizon_ms > 0.0, "horizon must be positive");
     if config.rate_per_s == 0.0 {
         return Vec::new();

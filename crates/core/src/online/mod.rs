@@ -58,10 +58,7 @@ mod snapshot;
 pub use arrivals::{generate_arrivals, ArrivalConfig, JobSpec};
 pub use metrics::{percentile, LatencyStats};
 pub use queue::{Event, EventKind, EventQueue};
-pub use sim::{
-    run_online, run_online_faulted, run_online_observed, EventRecord, JobRecord, OnlineEvent,
-    OnlineOutcome, OnlineSim,
-};
+pub use sim::{run_online, EventRecord, JobRecord, OnlineEvent, OnlineOutcome, OnlineSim};
 pub use snapshot::{SimCounters, Snapshot, SnapshotError, SNAPSHOT_SCHEMA};
 
 use crate::runtime::{ConfigError, RuntimeConfig};
@@ -131,14 +128,6 @@ impl ServicePolicy {
         }
     }
 
-    /// Deadline admission control with per-event rescheduling.
-    pub fn with_deadlines(deadline_slack: f64) -> Self {
-        Self {
-            deadline_slack,
-            ..Self::default()
-        }
-    }
-
     /// True when either SLO mechanism is active.
     pub fn is_active(&self) -> bool {
         self.reschedule_window_ms > 0.0 || self.deadline_slack.is_finite()
@@ -172,36 +161,12 @@ impl OnlineConfig {
     /// penalty.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.runtime.validate()?;
-        let rate_ok = self.arrivals.rate_per_s >= 0.0;
-        let work_ok = self.arrivals.mean_instructions > 0.0;
-        if !rate_ok || !work_ok || !(0.0..1.0).contains(&self.arrivals.instructions_jitter) {
-            return Err(ConfigError::BadArrivalProcess);
-        }
+        self.arrivals.validate()?;
         if self.migration_penalty_ms < 0.0 || self.migration_penalty_ms.is_nan() {
             return Err(ConfigError::NegativeMigrationPenalty);
         }
         self.service.validate()?;
         Ok(())
-    }
-
-    /// Validates the timeline and the arrival process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the runtime configuration is invalid, the arrival
-    /// configuration is degenerate, or the migration penalty is
-    /// negative or NaN.
-    pub fn validate_or_panic(&self) {
-        self.runtime.validate_or_panic();
-        self.arrivals.validate_or_panic();
-        assert!(
-            self.migration_penalty_ms >= 0.0 && !self.migration_penalty_ms.is_nan(),
-            "migration penalty must be non-negative"
-        );
-        assert!(
-            self.service.validate().is_ok(),
-            "service policy must have a non-negative window and positive slack"
-        );
     }
 }
 
@@ -211,16 +176,15 @@ mod tests {
 
     #[test]
     fn default_config_validates() {
-        OnlineConfig::paper_default().validate_or_panic();
+        assert_eq!(OnlineConfig::paper_default().validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "migration penalty")]
     fn negative_penalty_rejected() {
         let cfg = OnlineConfig {
             migration_penalty_ms: -1.0,
             ..OnlineConfig::paper_default()
         };
-        cfg.validate_or_panic();
+        assert_eq!(cfg.validate(), Err(ConfigError::NegativeMigrationPenalty));
     }
 }

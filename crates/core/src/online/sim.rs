@@ -12,8 +12,8 @@
 //! boundary [`OnlineSim::checkpoint`] captures the complete mutable
 //! state as a [`Snapshot`], and [`OnlineSim::resume`] rebuilds a
 //! simulation whose subsequent events, RNG draws, traces and metrics
-//! are bit-identical to the uninterrupted run. The `run_online*`
-//! wrappers drive it to completion in one call.
+//! are bit-identical to the uninterrupted run. [`run_online`] drives
+//! it to completion in one call.
 //!
 //! [`super::ServicePolicy`] layers SLO-aware serving on top: per-job
 //! deadlines with shed-on-admission load control, and windowed
@@ -26,7 +26,7 @@ use super::queue::{EventKind, EventQueue};
 use super::snapshot::Snapshot;
 use super::OnlineConfig;
 use crate::manager::{DegradationEvent, ManagerSpec, PowerBudget};
-use crate::runtime::{NullObserver, TrialError, TrialObserver, TrialOutcome};
+use crate::runtime::{TrialError, TrialObserver, TrialOutcome};
 use crate::sched::{Scheduler, SchedulerSpec};
 use crate::serving::{JobSource, PoissonJobs, ServingCore};
 use cmpsim::{AppSpec, FaultPlan, Machine, Mix, Workload};
@@ -198,7 +198,7 @@ impl OnlineOutcome {
 /// [`OnlineSim::step`]/[`OnlineSim::run`], and close out with
 /// [`OnlineSim::finish`].
 ///
-/// The `run_online*` functions are thin wrappers over this type; the
+/// [`run_online`] drives this type from construction to outcome; the
 /// value form exists so callers can interleave the simulation with
 /// their own control — most importantly [`OnlineSim::checkpoint`],
 /// which captures the complete mutable state at a tick boundary. A
@@ -216,7 +216,7 @@ impl<'a> OnlineSim<'a> {
     /// arrival schedule from `rng` (exactly as [`run_online`]
     /// documents) and stands the control plane up, without executing
     /// any tick.
-    #[allow(clippy::too_many_arguments)] // mirrors run_online_faulted
+    #[allow(clippy::too_many_arguments)] // mirrors run_online, less the observer
     pub fn new(
         machine: &'a mut Machine,
         pool: &[AppSpec],
@@ -570,72 +570,31 @@ impl<'a> OnlineSim<'a> {
 /// taken only when the arrival rate is non-zero. See the
 /// [module docs](crate::online) for the determinism contract.
 ///
+/// With an inactive fault plan the run is fault-free. With an active
+/// plan, the same degradation ladder as the batch
+/// [`crate::runtime::run_trial`] applies — conditioned manager views,
+/// chip-wide solver fallback, immediate rescheduling off dead cores —
+/// plus one open-system rule: admission capacity shrinks to the live
+/// core count, so jobs queue rather than land on dead silicon. Every
+/// degradation appears in the event trace as an
+/// [`OnlineEvent::Degraded`] entry.
+///
+/// The observer sees the same hooks the batch loop fires (schedule,
+/// manager run, solve report, degradation, step) plus the online-only
+/// job-shed hook, drawn from the identical simulation: observation is a
+/// pure read-out and never perturbs RNG streams or outcomes.
+///
+/// # Errors
+///
+/// Returns [`TrialError`] if the configuration or a control-plane spec
+/// is invalid, the initial residents exceed the core count, or the
+/// fault plan does not fit the machine.
+///
 /// # Panics
 ///
-/// Panics if the configuration is invalid, the initial residents exceed
-/// the core count, or the mix admits no application from the pool.
-#[allow(clippy::too_many_arguments)] // mirrors run_trial + arrival inputs
+/// Panics if the mix admits no application from the pool.
+#[allow(clippy::too_many_arguments)] // the arm's configuration + plan, RNG and observer
 pub fn run_online(
-    machine: &mut Machine,
-    pool: &[AppSpec],
-    mix: Mix,
-    policy: SchedulerSpec,
-    manager: ManagerSpec,
-    budget: PowerBudget,
-    config: &OnlineConfig,
-    rng: &mut SimRng,
-) -> OnlineOutcome {
-    let none = FaultPlan::none();
-    run_online_faulted(
-        machine, pool, mix, policy, manager, budget, config, &none, rng,
-    )
-    .unwrap_or_else(|e| panic!("online trial failed: {e}"))
-}
-
-/// [`run_online`] plus a [`cmpsim::FaultPlan`] and typed errors — the
-/// open-system counterpart of [`crate::runtime::run_trial_faulted`].
-///
-/// With an inactive plan this is bit-identical to [`run_online`]. With
-/// an active plan, the same degradation ladder as the batch path
-/// applies — conditioned manager views, chip-wide solver fallback,
-/// immediate rescheduling off dead cores — plus one open-system rule:
-/// admission capacity shrinks to the live core count, so jobs queue
-/// rather than land on dead silicon. Every degradation appears in the
-/// event trace as an [`OnlineEvent::Degraded`] entry.
-#[allow(clippy::too_many_arguments)] // mirrors run_online + the plan
-pub fn run_online_faulted(
-    machine: &mut Machine,
-    pool: &[AppSpec],
-    mix: Mix,
-    policy: SchedulerSpec,
-    manager: ManagerSpec,
-    budget: PowerBudget,
-    config: &OnlineConfig,
-    fault_plan: &FaultPlan,
-    rng: &mut SimRng,
-) -> Result<OnlineOutcome, TrialError> {
-    run_online_observed(
-        machine,
-        pool,
-        mix,
-        policy,
-        manager,
-        budget,
-        config,
-        fault_plan,
-        rng,
-        &mut NullObserver,
-    )
-}
-
-/// [`run_online_faulted`] plus a [`TrialObserver`] — the open-system
-/// counterpart of [`crate::runtime::run_trial_observed`]. The observer
-/// sees the same hooks the batch loop fires (schedule, manager run,
-/// solve report, degradation, step) plus the online-only job-shed hook,
-/// drawn from the identical simulation: observation is a pure read-out
-/// and never perturbs RNG streams or outcomes.
-#[allow(clippy::too_many_arguments)] // mirrors run_online_faulted + observer
-pub fn run_online_observed(
     machine: &mut Machine,
     pool: &[AppSpec],
     mix: Mix,
@@ -658,7 +617,7 @@ pub fn run_online_observed(
 mod tests {
     use super::*;
     use crate::online::{ArrivalConfig, ServicePolicy};
-    use crate::runtime::{run_trial_faulted, FreqMode, RuntimeConfig};
+    use crate::runtime::{run_trial, ConfigError, FreqMode, NullObserver, RuntimeConfig};
     use cmpsim::{app_pool, MachineConfig};
     use floorplan::paper_20_core;
     use varius::{DieGenerator, VariationConfig};
@@ -749,7 +708,7 @@ mod tests {
                             let mut batch_rng = SimRng::seed_from(rng_seed);
                             let workload =
                                 Workload::draw_mix(&pool, threads, Mix::Balanced, &mut batch_rng);
-                            let batch = run_trial_faulted(
+                            let batch = run_trial(
                                 &mut die.clone(),
                                 &workload,
                                 SchedulerSpec::VarFAppIpc,
@@ -763,7 +722,7 @@ mod tests {
                             .expect("batch run");
 
                             let mut online_rng = SimRng::seed_from(rng_seed);
-                            let online = run_online_faulted(
+                            let online = run_online(
                                 &mut die.clone(),
                                 &pool,
                                 Mix::Balanced,
@@ -773,6 +732,7 @@ mod tests {
                                 &config,
                                 plan,
                                 &mut online_rng,
+                                &mut NullObserver,
                             )
                             .expect("online run");
 
@@ -815,8 +775,11 @@ mod tests {
             ManagerSpec::LinOpt,
             PowerBudget::cost_performance(20),
             &open_config(300.0, 40.0e6),
+            &FaultPlan::none(),
             &mut SimRng::seed_from(2),
-        );
+            &mut NullObserver,
+        )
+        .unwrap();
         assert!(out.arrived > 10, "arrived {}", out.arrived);
         assert!(out.completed > 0, "completed {}", out.completed);
         assert!(out.completed <= out.arrived);
@@ -844,8 +807,11 @@ mod tests {
                 ManagerSpec::FoxtonStar,
                 PowerBudget::cost_performance(20),
                 &open_config(250.0, 50.0e6),
+                &FaultPlan::none(),
                 &mut SimRng::seed_from(seed),
+                &mut NullObserver,
             )
+            .unwrap()
         };
         let (a, b) = (run(9), run(9));
         assert_eq!(a, b);
@@ -866,8 +832,11 @@ mod tests {
             ManagerSpec::LinOpt,
             PowerBudget::cost_performance(20),
             &open_config(2000.0, 200.0e6),
+            &FaultPlan::none(),
             &mut SimRng::seed_from(6),
-        );
+            &mut NullObserver,
+        )
+        .unwrap();
         assert!(out.queue_peak > 0, "overload must queue jobs");
         assert!(
             out.jobs.iter().any(|j| j.admit_ms.is_none()),
@@ -891,8 +860,11 @@ mod tests {
                     migration_penalty_ms: penalty_ms,
                     ..open_config(400.0, 60.0e6)
                 },
+                &FaultPlan::none(),
                 &mut SimRng::seed_from(8),
+                &mut NullObserver,
             )
+            .unwrap()
         };
         let free = run(0.0);
         let taxed = run(5.0);
@@ -935,8 +907,11 @@ mod tests {
             ManagerSpec::LinOpt,
             PowerBudget::cost_performance(4),
             &config,
+            &FaultPlan::none(),
             &mut SimRng::seed_from(12),
-        );
+            &mut NullObserver,
+        )
+        .unwrap();
         assert_eq!(out.completed, 4, "all residents should drain");
         assert!(out.chip.weighted_mips == 0.0, "no thread survives");
         assert!(out.chip.ed2.is_finite(), "work was retired");
@@ -957,7 +932,7 @@ mod tests {
 
         let mut m1 = machine(3);
         let mut rng1 = SimRng::seed_from(9);
-        let full = run_online_faulted(
+        let full = run_online(
             &mut m1,
             &pool,
             Mix::Balanced,
@@ -967,6 +942,7 @@ mod tests {
             config,
             fault_plan,
             &mut rng1,
+            &mut NullObserver,
         )
         .expect("uninterrupted run");
 
@@ -1135,6 +1111,50 @@ mod tests {
         assert!(err.to_string().contains("core_count"), "{err}");
     }
 
+    /// Runs `config` on a fresh 20-core machine and returns the error.
+    fn run_err(config: &OnlineConfig) -> TrialError {
+        run_online(
+            &mut machine(3),
+            &pool(),
+            Mix::Balanced,
+            SchedulerSpec::VarFAppIpc,
+            ManagerSpec::LinOpt,
+            PowerBudget::cost_performance(20),
+            config,
+            &FaultPlan::none(),
+            &mut SimRng::seed_from(9),
+            &mut NullObserver,
+        )
+        .expect_err("the run must be rejected")
+    }
+
+    #[test]
+    fn too_many_initial_jobs_is_an_error() {
+        let config = OnlineConfig {
+            initial_jobs: 21,
+            ..open_config(250.0, 50.0e6)
+        };
+        assert_eq!(
+            run_err(&config),
+            TrialError::WorkloadTooLarge {
+                threads: 21,
+                cores: 20,
+            }
+        );
+    }
+
+    #[test]
+    fn invalid_config_is_an_error() {
+        let config = OnlineConfig {
+            migration_penalty_ms: -1.0,
+            ..open_config(250.0, 50.0e6)
+        };
+        assert_eq!(
+            run_err(&config),
+            TrialError::Config(ConfigError::NegativeMigrationPenalty)
+        );
+    }
+
     // ----------------------------------------------------------------
     // SLO-aware serving
     // ----------------------------------------------------------------
@@ -1156,8 +1176,11 @@ mod tests {
                     service,
                     ..open_config(250.0, 50.0e6)
                 },
+                &FaultPlan::none(),
                 &mut SimRng::seed_from(21),
+                &mut NullObserver,
             )
+            .unwrap()
         };
         let default = run(ServicePolicy::default());
         let explicit = run(ServicePolicy {
@@ -1186,8 +1209,11 @@ mod tests {
                     },
                     ..open_config(2000.0, 100.0e6)
                 },
+                &FaultPlan::none(),
                 &mut SimRng::seed_from(6),
+                &mut NullObserver,
             )
+            .unwrap()
         };
         let strict = run(1.5);
         let loose = run(1e9);
@@ -1231,8 +1257,11 @@ mod tests {
                     },
                     ..open_config(600.0, 50.0e6)
                 },
+                &FaultPlan::none(),
                 &mut SimRng::seed_from(8),
+                &mut NullObserver,
             )
+            .unwrap()
         };
         let per_event = run(0.0);
         let windowed = run(25.0);

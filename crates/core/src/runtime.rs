@@ -86,18 +86,6 @@ impl RuntimeConfig {
         Ok(())
     }
 
-    /// Like [`RuntimeConfig::validate`], for callers that treat a bad
-    /// configuration as a programming error.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] message if validation fails.
-    pub fn validate_or_panic(&self) {
-        if let Err(e) = self.validate() {
-            panic!("invalid runtime configuration: {e}");
-        }
-    }
-
     /// A builder seeded with the paper's timeline; override individual
     /// knobs and finish with [`RuntimeConfigBuilder::build`].
     pub fn builder() -> RuntimeConfigBuilder {
@@ -169,8 +157,9 @@ pub enum ConfigError {
     OsShorterThanDvfs,
     /// `duration_ms` does not cover one OS interval.
     DurationShorterThanOs,
-    /// An online arrival process is degenerate (negative/NaN rate,
-    /// non-positive instruction budget, or jitter outside `[0, 1)`).
+    /// An online arrival process is degenerate (negative, infinite or
+    /// NaN rate, non-positive instruction budget, or jitter outside
+    /// `[0, 1)`).
     BadArrivalProcess,
     /// An online migration penalty is negative or NaN.
     NegativeMigrationPenalty,
@@ -327,7 +316,7 @@ pub trait TrialObserver {
     }
 }
 
-/// The do-nothing observer behind plain [`run_trial`].
+/// The do-nothing observer, for [`run_trial`] callers that watch nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 
@@ -360,69 +349,18 @@ pub struct TrialOutcome {
 /// Runs one trial: load → profile → schedule → manage → tick.
 ///
 /// The machine should be freshly built (or reused across trials of the
-/// same die); threads are loaded from `workload` at the start.
-///
-/// # Panics
-///
-/// Panics if the workload is larger than the machine or the runtime
-/// configuration is invalid.
-pub fn run_trial(
-    machine: &mut Machine,
-    workload: &Workload,
-    policy: SchedulerSpec,
-    manager: ManagerSpec,
-    budget: PowerBudget,
-    config: &RuntimeConfig,
-    rng: &mut SimRng,
-) -> TrialOutcome {
-    run_trial_observed(
-        machine,
-        workload,
-        policy,
-        manager,
-        budget,
-        config,
-        rng,
-        &mut NullObserver,
-    )
-}
-
-/// [`run_trial`] with an observability hook: the observer sees every
-/// scheduling decision, manager invocation, and machine tick.
+/// same die); threads are loaded from `workload` at the start. The
+/// observer sees every scheduling decision, manager invocation, and
+/// machine tick ([`NullObserver`] sees nothing).
 ///
 /// The control plane is *stateful* within the trial: one scheduler and
 /// one power manager are built up front (via [`SchedulerSpec::build`]
 /// and [`ManagerSpec::build`]) and invoked repeatedly, so Foxton\* keeps
 /// its round-robin cursor and LinOpt warm-starts across DVFS intervals.
 ///
-/// # Panics
-///
-/// Panics if the workload is larger than the machine, the runtime
-/// configuration is invalid, or a control-plane spec is degenerate.
-#[allow(clippy::too_many_arguments)] // mirrors run_trial + the observer
-pub fn run_trial_observed(
-    machine: &mut Machine,
-    workload: &Workload,
-    policy: SchedulerSpec,
-    manager: ManagerSpec,
-    budget: PowerBudget,
-    config: &RuntimeConfig,
-    rng: &mut SimRng,
-    observer: &mut dyn TrialObserver,
-) -> TrialOutcome {
-    let none = FaultPlan::none();
-    run_trial_faulted(
-        machine, workload, policy, manager, budget, config, &none, rng, observer,
-    )
-    .unwrap_or_else(|e| panic!("trial failed: {e}"))
-}
-
-/// The canonical trial entry point: [`run_trial_observed`] plus a
-/// [`FaultPlan`] and typed errors.
-///
-/// With an inactive plan ([`FaultPlan::none`] or all-default) this is
-/// bit-identical to the historical fault-free path: no extra RNG draws,
-/// no conditioning, no fallback manager. With an active plan the
+/// With an inactive plan ([`FaultPlan::none`] or all-default) the run
+/// is fault-free: no extra RNG draws, no conditioning, no fallback
+/// manager. With an active plan the
 /// machine's sensors are distorted per the plan and the control plane
 /// hardens itself: manager input views are sanitized and smoothed,
 /// solver failures fall back to the chip-wide manager, core failures
@@ -434,8 +372,14 @@ pub fn run_trial_observed(
 /// budget, but [`TrialOutcome::power_deviation_frac`] keeps measuring
 /// against the nominal budget — the metric reports what the faults
 /// cost, not what the manager was told.
-#[allow(clippy::too_many_arguments)] // mirrors run_trial_observed + the plan
-pub fn run_trial_faulted(
+///
+/// # Errors
+///
+/// Returns [`TrialError`] if the runtime configuration or a
+/// control-plane spec is invalid, the workload is larger than the
+/// machine, or the fault plan does not fit the machine.
+#[allow(clippy::too_many_arguments)] // the arm's configuration + plan, RNG and observer
+pub fn run_trial(
     machine: &mut Machine,
     workload: &Workload,
     policy: SchedulerSpec,
@@ -456,7 +400,7 @@ pub fn run_trial_faulted(
 /// only residents and nothing arrives or completes. Shared by the batch
 /// engine and [`crate::extensions::run_thermal_trial`], which adds
 /// temperature-triggered migration at the pre-step point.
-#[allow(clippy::too_many_arguments)] // run_trial_faulted + the migration knob
+#[allow(clippy::too_many_arguments)] // run_trial + the migration knob
 pub(crate) fn serve_closed<'a>(
     machine: &'a mut Machine,
     workload: &Workload,
@@ -535,8 +479,11 @@ mod tests {
             ManagerSpec::LinOpt,
             PowerBudget::cost_performance(8),
             &quick_config(),
+            &FaultPlan::none(),
             &mut SimRng::seed_from(3),
-        );
+            &mut NullObserver,
+        )
+        .unwrap();
         assert!(out.mips > 0.0);
         assert!(out.avg_power_w > 0.0);
         assert!(out.weighted_mips > 0.0 && out.weighted_mips <= 8.5);
@@ -557,8 +504,11 @@ mod tests {
             ManagerSpec::LinOpt,
             budget,
             &quick_config(),
+            &FaultPlan::none(),
             &mut SimRng::seed_from(6),
-        );
+            &mut NullObserver,
+        )
+        .unwrap();
         assert!(
             out.avg_power_w <= budget.chip_w * 1.10,
             "avg power {} vs budget {}",
@@ -579,8 +529,11 @@ mod tests {
                 ManagerSpec::FoxtonStar,
                 PowerBudget::cost_performance(6),
                 &quick_config(),
+                &FaultPlan::none(),
                 &mut SimRng::seed_from(9),
+                &mut NullObserver,
             )
+            .unwrap()
         };
         assert_eq!(run(), run());
     }
@@ -598,8 +551,11 @@ mod tests {
             ManagerSpec::None,
             PowerBudget::cost_performance(12),
             &cfg,
+            &FaultPlan::none(),
             &mut SimRng::seed_from(12),
-        );
+            &mut NullObserver,
+        )
+        .unwrap();
         cfg.freq_mode = FreqMode::NonUniform;
         let mut m2 = machine(11);
         let non = run_trial(
@@ -609,8 +565,11 @@ mod tests {
             ManagerSpec::None,
             PowerBudget::cost_performance(12),
             &cfg,
+            &FaultPlan::none(),
             &mut SimRng::seed_from(12),
-        );
+            &mut NullObserver,
+        )
+        .unwrap();
         assert!(
             non.avg_freq_hz > uni.avg_freq_hz,
             "NUniFreq {} should beat UniFreq {}",
@@ -630,8 +589,11 @@ mod tests {
             ManagerSpec::None,
             PowerBudget::high_performance(4),
             &quick_config(),
+            &FaultPlan::none(),
             &mut SimRng::seed_from(15),
-        );
+            &mut NullObserver,
+        )
+        .unwrap();
         assert_eq!(out.manager_runs, 0);
         for core in 0..m.core_count() {
             if m.thread_of(core).is_some() {
@@ -641,13 +603,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "OS interval")]
     fn bad_interval_nesting_rejected() {
         let cfg = RuntimeConfig {
             os_interval_ms: 5.0,
             ..quick_config()
         };
-        cfg.validate_or_panic();
+        assert_eq!(cfg.validate(), Err(ConfigError::OsShorterThanDvfs));
     }
 
     #[test]
@@ -704,16 +665,18 @@ mod tests {
         let mut m = machine(30);
         let w = workload(6, 31);
         let mut obs = Counting::default();
-        let out = run_trial_observed(
+        let out = run_trial(
             &mut m,
             &w,
             SchedulerSpec::VarFAppIpc,
             ManagerSpec::FoxtonStar,
             PowerBudget::cost_performance(6),
             &quick_config(),
+            &FaultPlan::none(),
             &mut SimRng::seed_from(32),
             &mut obs,
-        );
+        )
+        .unwrap();
         assert_eq!(obs.schedules, 2); // 100 ms / 50 ms OS epochs
         assert_eq!(obs.manager_runs, out.manager_runs);
         assert_eq!(obs.steps, 100); // one per tick

@@ -8,7 +8,7 @@
 //!
 //! | Driver | Source |
 //! |---|---|
-//! | [`crate::runtime::run_trial_faulted`] (batch) | closed residents |
+//! | [`crate::runtime::run_trial`] (batch) | closed residents |
 //! | [`crate::extensions::run_thermal_trial`] | closed residents, plus pre-step migration |
 //! | [`crate::online::OnlineSim`] | the pre-drawn Poisson schedule |
 //! | [`crate::fleet::ChipSim`] | the FIFO the fleet dispatcher fills |

@@ -74,8 +74,11 @@ fn main() {
                 ManagerSpec::None,
                 budget,
                 &runtime,
+                &FaultPlan::none(),
                 &mut trial_rng,
-            );
+                &mut NullObserver,
+            )
+            .expect("trial config is valid");
             println!(
                 "{:<14} {:>10.0} {:>10.1} {:>12.1}",
                 policy.name(),

@@ -5,7 +5,8 @@
 #
 # Modes:
 #   scripts/ci.sh               the standard gates (fmt, build, test,
-#                               clippy, rustdoc)
+#                               clippy, rustdoc, and a build and test
+#                               of the perfbench package)
 #   scripts/ci.sh bench-smoke   additionally runs the timing benches
 #                               and the smoke-scale trace/figure bins,
 #                               then validates every BENCH_*.json with
@@ -55,6 +56,11 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+# perfbench is a workspace of its own that drives the library's public
+# entry points; build and test it here so an API change it depends on
+# fails the standard gate, not only bench-smoke.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 if [[ "$mode" == bench-smoke ]]; then
   # Snapshot the committed BENCH_*.json files before the benches

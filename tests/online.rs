@@ -3,12 +3,13 @@
 //! and the determinism contract the engine guarantees across worker
 //! counts.
 
-use vasp::cmpsim::{app_pool, Mix};
+use vasp::cmpsim::{app_pool, FaultPlan, Mix};
 use vasp::vasched::engine::{OnlineArm, OnlineTrialSpec, SeedPlan, TrialRunner};
 use vasp::vasched::experiments::{Context, Scale};
+use vasp::vasched::fleet::FleetConfig;
 use vasp::vasched::manager::{ManagerSpec, PowerBudget};
 use vasp::vasched::online::{run_online, ArrivalConfig, OnlineConfig, ServicePolicy};
-use vasp::vasched::runtime::RuntimeConfig;
+use vasp::vasched::runtime::{ConfigError, NullObserver, RuntimeConfig, TrialError};
 use vasp::vasched::sched::SchedulerSpec;
 use vasp::vastats::SimRng;
 
@@ -43,8 +44,11 @@ fn open_system_serves_jobs_end_to_end() {
         ManagerSpec::LinOpt,
         PowerBudget::cost_performance(20),
         &serving_config(400.0),
+        &FaultPlan::none(),
         &mut rng,
-    );
+        &mut NullObserver,
+    )
+    .unwrap();
     assert!(outcome.arrived > 0, "jobs must arrive");
     assert!(outcome.completed > 0, "jobs must complete");
     assert!(outcome.completed <= outcome.arrived);
@@ -104,4 +108,43 @@ fn online_trials_are_bit_identical_across_worker_counts() {
             );
         }
     }
+}
+
+/// An infinite arrival rate spaces arrivals 0 ms apart, so a schedule
+/// drawn from it never reaches the horizon: every configuration that
+/// carries an arrival process must reject it up front. Only validation
+/// runs here — nothing draws a schedule.
+#[test]
+fn infinite_arrival_rate_is_rejected_everywhere() {
+    let infinite = ArrivalConfig::poisson(f64::INFINITY, 30.0e6);
+    let bad = Err(ConfigError::BadArrivalProcess);
+
+    let online = OnlineConfig {
+        arrivals: infinite,
+        ..serving_config(400.0)
+    };
+    assert_eq!(online.validate(), bad);
+
+    let fleet = FleetConfig {
+        arrivals: infinite,
+        ..FleetConfig::serving_default()
+    };
+    assert_eq!(fleet.validate(), bad);
+
+    let ctx = Context::new(Scale::smoke().grid);
+    let pool = app_pool(&ctx.machine_config().dynamic);
+    let spec = OnlineTrialSpec::builder(&ctx, &pool)
+        .arm(OnlineArm {
+            label: "LinOpt".into(),
+            policy: SchedulerSpec::VarFAppIpc,
+            manager: ManagerSpec::LinOpt,
+            budget: PowerBudget::cost_performance(20),
+            config: online,
+            rng_salt: None,
+        })
+        .build();
+    assert_eq!(
+        spec.err(),
+        Some(TrialError::Config(ConfigError::BadArrivalProcess))
+    );
 }

@@ -168,8 +168,11 @@ fn uniform_and_nonuniform_regimes_differ_as_expected() {
             ManagerSpec::None,
             budget,
             &runtime,
+            &FaultPlan::none(),
             &mut SimRng::seed_from(11),
+            &mut NullObserver,
         )
+        .unwrap()
     };
     let uni = run(FreqMode::Uniform);
     let non = run(FreqMode::NonUniform);
@@ -195,8 +198,11 @@ fn trials_are_reproducible_across_machine_rebuilds() {
             ManagerSpec::LinOpt,
             budget,
             &runtime,
+            &FaultPlan::none(),
             &mut SimRng::seed_from(14),
+            &mut NullObserver,
         )
+        .unwrap()
     };
     assert_eq!(run(), run());
 }

@@ -90,7 +90,8 @@ fn migration_and_wearout_integrate() {
         &RuntimeConfig::builder().duration_ms(200.0).build().unwrap(),
         Some(MigrationConfig::default_policy()),
         &mut rng,
-    );
+    )
+    .unwrap();
     assert!(outcome.mips > 0.0);
     assert!(outcome.max_aging_s > 0.0);
     assert!(outcome.max_aging_s >= outcome.mean_aging_s);
@@ -134,8 +135,11 @@ fn homogeneous_mix_reduces_appipc_advantage() {
                 ManagerSpec::None,
                 budget,
                 &runtime,
+                &FaultPlan::none(),
                 &mut SimRng::seed_from(seed + 1),
+                &mut NullObserver,
             )
+            .unwrap()
         };
         run(SchedulerSpec::VarFAppIpc).mips / run(SchedulerSpec::VarF).mips
     };
