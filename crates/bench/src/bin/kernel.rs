@@ -2,8 +2,9 @@
 //!
 //! Measures the public kernel entry points (`Machine::step`, thermal
 //! stepping, leakage evaluation, field sampling, LinOpt's re-solve,
-//! SAnn's annealing loop, per-reschedule thread profiling) plus the
-//! in-place scratch-buffer APIs; writes `results/BENCH_kernel.json`.
+//! SAnn's annealing loop, per-reschedule thread profiling, per-trial
+//! die and machine construction) plus the in-place scratch-buffer
+//! APIs; writes `results/BENCH_kernel.json`.
 //! The committed pre-optimization run is
 //! `results/BENCH_kernel_baseline.json`; `check_bench --baseline`
 //! diffs the two.
@@ -16,7 +17,8 @@
 //!   `machine/step_1ms_20t`, [`FIELD_SPEEDUP_MIN`]× on the large-grid
 //!   field cases, [`SANN_SPEEDUP_MIN`]× per evaluation on
 //!   `anneal/sann_100k_20t`, [`PROFILE_SPEEDUP_MIN`]× on
-//!   `sched/thread_profiles_20t`).
+//!   `sched/thread_profiles_20t`, [`CONSTRUCT_SPEEDUP_MIN`]× on
+//!   `construct/machine_grid60`).
 //! * `--cholesky-reference` — instead of benchmarking, time the
 //!   forced-Cholesky field path once per case and print ready-to-paste
 //!   baseline entries (a 64×64 dense factorization takes tens of
@@ -58,6 +60,12 @@ const SANN_SPEEDUP_MIN: f64 = 1.4;
 /// committed baseline, measured while every profiled thread still
 /// cloned the whole machine for its probe.
 const PROFILE_SPEEDUP_MIN: f64 = 2.0;
+
+/// `--gate`: required speedup of `construct/machine_grid60` over the
+/// committed baseline, measured while `FreqModel::vf_table` still
+/// evaluated every cell of a core at every level.
+/// `construct/die_grid60` is not gated: its gain is inside host noise.
+const CONSTRUCT_SPEEDUP_MIN: f64 = 1.6;
 
 /// The committed pre-optimization reference the gate reads.
 const BASELINE_PATH: &str = "results/BENCH_kernel_baseline.json";
@@ -230,6 +238,30 @@ fn bench_field(report: &mut BenchReport) {
     report.push_case("field", "generate_many_pair_grid60", m);
 }
 
+/// What every trial builds before its first tick, on the evaluation's
+/// large grid: one die (`Context::make_die`) and one machine around it
+/// (`Context::make_machine`).
+fn bench_construct(report: &mut BenchReport) {
+    let generator = DieGenerator::new(VariationConfig {
+        grid: 60,
+        ..VariationConfig::paper_default()
+    })
+    .expect("valid config");
+    let mut rng = SimRng::seed_from(12);
+    let m = report_case("construct", "die_grid60", || {
+        black_box(generator.generate(&mut rng));
+    });
+    report.push_case("construct", "die_grid60", m);
+
+    let die = generator.generate(&mut SimRng::seed_from(13));
+    let fp = paper_20_core();
+    let config = MachineConfig::paper_default();
+    let m = report_case("construct", "machine_grid60", || {
+        black_box(Machine::new(&die, &fp, config.clone()));
+    });
+    report.push_case("construct", "machine_grid60", m);
+}
+
 fn drifting_view(step: usize) -> PmView {
     let drift = 1.0 + 0.01 * step as f64;
     PmView::from_cores(
@@ -400,6 +432,7 @@ fn gate(report: &BenchReport) -> bool {
         ("field/sample_pair_64x64", FIELD_SPEEDUP_MIN),
         ("anneal/sann_100k_20t", SANN_SPEEDUP_MIN),
         ("sched/thread_profiles_20t", PROFILE_SPEEDUP_MIN),
+        ("construct/machine_grid60", CONSTRUCT_SPEEDUP_MIN),
     ] {
         let Some(then) = baseline_median(&doc, id) else {
             eprintln!("GATE FAIL: baseline has no case '{id}'");
@@ -439,6 +472,7 @@ fn main() {
     bench_thermal(&mut report);
     bench_leakage(&mut report);
     bench_field(&mut report);
+    bench_construct(&mut report);
     bench_solver(&mut report);
     bench_anneal(&mut report);
     match report.write("kernel") {

@@ -236,15 +236,22 @@ impl<'a> OnlineTrialSpecBuilder<'a> {
         self
     }
 
-    /// Validates every arm's configuration and the fault plan against
-    /// the context's machine, and returns the spec.
+    /// Validates every arm's configuration, manager spec and initial
+    /// residents, and the fault plan, against the context's machine,
+    /// and returns the spec.
     pub fn build(self) -> Result<OnlineTrialSpec<'a>, TrialError> {
+        let cores = self.inner.ctx.floorplan().core_count();
         for arm in &self.inner.arms {
             arm.config.validate()?;
+            arm.manager.validate(&arm.config.runtime)?;
+            if arm.config.initial_jobs > cores {
+                return Err(TrialError::WorkloadTooLarge {
+                    threads: arm.config.initial_jobs,
+                    cores,
+                });
+            }
         }
-        self.inner
-            .fault_plan
-            .validate(self.inner.ctx.floorplan().core_count())?;
+        self.inner.fault_plan.validate(cores)?;
         Ok(self.inner)
     }
 }
@@ -357,9 +364,9 @@ impl<'a> TrialSpecBuilder<'a> {
         self
     }
 
-    /// Validates every arm's runtime configuration, the workload size,
-    /// and the fault plan against the context's machine, and returns
-    /// the spec.
+    /// Validates every arm's runtime configuration and manager spec,
+    /// the workload size, and the fault plan against the context's
+    /// machine, and returns the spec.
     pub fn build(self) -> Result<TrialSpec<'a>, TrialError> {
         let cores = self.inner.ctx.floorplan().core_count();
         if self.inner.threads > cores {
@@ -370,6 +377,7 @@ impl<'a> TrialSpecBuilder<'a> {
         }
         for arm in &self.inner.arms {
             arm.runtime.validate()?;
+            arm.manager.validate(&arm.runtime)?;
         }
         self.inner.fault_plan.validate(cores)?;
         Ok(self.inner)
@@ -808,7 +816,7 @@ impl TrialObserver for TelemetryObserver {
 mod tests {
     use super::*;
     use crate::experiments::Scale;
-    use crate::runtime::FreqMode;
+    use crate::runtime::{ConfigError, FreqMode};
     use cmpsim::app_pool;
 
     fn spec_fixture<'a>(ctx: &'a Context, pool: &'a [cmpsim::AppSpec]) -> TrialSpec<'a> {
@@ -846,6 +854,56 @@ mod tests {
             })
             .build()
             .expect("fixture spec is valid")
+    }
+
+    #[test]
+    fn degenerate_manager_fails_at_build() {
+        let ctx = Context::new(Scale::smoke().grid);
+        let pool = app_pool(&ctx.machine_config().dynamic);
+        let mut arm = spec_fixture(&ctx, &pool).arms[0].clone();
+        arm.manager = ManagerSpec::SAnn { evaluations: 0 };
+        let err = TrialSpec::builder(&ctx, &pool)
+            .arm(arm)
+            .build()
+            .expect_err("zero-evaluation SAnn must not build");
+        assert_eq!(err, TrialError::Config(ConfigError::BadManager));
+    }
+
+    #[test]
+    fn degenerate_online_manager_fails_at_build() {
+        let ctx = Context::new(Scale::smoke().grid);
+        let pool = app_pool(&ctx.machine_config().dynamic);
+        let mut arm = online_spec_fixture(&ctx, &pool).arms[0].clone();
+        arm.manager = ManagerSpec::SAnn { evaluations: 0 };
+        let err = OnlineTrialSpec::builder(&ctx, &pool)
+            .arm(arm)
+            .build()
+            .expect_err("zero-evaluation SAnn must not build");
+        assert_eq!(err, TrialError::Config(ConfigError::BadManager));
+    }
+
+    #[test]
+    fn too_many_initial_jobs_fail_at_build() {
+        let ctx = Context::new(Scale::smoke().grid);
+        let pool = app_pool(&ctx.machine_config().dynamic);
+        let mut arm = online_spec_fixture(&ctx, &pool).arms[0].clone();
+        arm.config.initial_jobs = 21;
+        let err = OnlineTrialSpec::builder(&ctx, &pool)
+            .arm(arm.clone())
+            .build()
+            .expect_err("21 residents cannot fit 20 cores");
+        assert_eq!(
+            err,
+            TrialError::WorkloadTooLarge {
+                threads: 21,
+                cores: 20
+            }
+        );
+        arm.config.initial_jobs = 20;
+        assert!(OnlineTrialSpec::builder(&ctx, &pool)
+            .arm(arm)
+            .build()
+            .is_ok());
     }
 
     #[test]

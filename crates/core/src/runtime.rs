@@ -176,6 +176,23 @@ pub enum ConfigError {
     BadManager,
 }
 
+impl ConfigError {
+    /// The part of a trial's configuration the error is about.
+    fn part(self) -> &'static str {
+        match self {
+            ConfigError::NonPositiveTick
+            | ConfigError::DvfsShorterThanTick
+            | ConfigError::OsShorterThanDvfs
+            | ConfigError::DurationShorterThanOs => "runtime",
+            ConfigError::BadManager => "manager",
+            ConfigError::BadArrivalProcess => "arrival",
+            // The migration penalty is what serving charges per move.
+            ConfigError::NegativeMigrationPenalty | ConfigError::BadServicePolicy => "service",
+            ConfigError::BadFleet => "fleet",
+        }
+    }
+}
+
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let msg = match self {
@@ -225,7 +242,7 @@ pub enum TrialError {
 impl fmt::Display for TrialError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Config(e) => write!(f, "invalid runtime configuration: {e}"),
+            Self::Config(e) => write!(f, "invalid {} configuration: {e}", e.part()),
             Self::Fault(e) => write!(f, "invalid fault plan: {e}"),
             Self::WorkloadTooLarge { threads, cores } => {
                 write!(
@@ -609,6 +626,35 @@ mod tests {
             ..quick_config()
         };
         assert_eq!(cfg.validate(), Err(ConfigError::OsShorterThanDvfs));
+    }
+
+    #[test]
+    fn config_error_display_names_the_invalid_part() {
+        let shown = |e: ConfigError| TrialError::Config(e).to_string();
+        assert_eq!(
+            shown(ConfigError::OsShorterThanDvfs),
+            "invalid runtime configuration: OS interval must be at least one DVFS interval"
+        );
+        assert_eq!(
+            shown(ConfigError::BadManager),
+            "invalid manager configuration: manager or scheduler spec is degenerate"
+        );
+        assert_eq!(
+            shown(ConfigError::BadArrivalProcess),
+            "invalid arrival configuration: arrival process is degenerate"
+        );
+        assert_eq!(
+            shown(ConfigError::BadServicePolicy),
+            "invalid service configuration: service policy is degenerate"
+        );
+        assert_eq!(
+            shown(ConfigError::NegativeMigrationPenalty),
+            "invalid service configuration: migration penalty must be non-negative"
+        );
+        assert_eq!(
+            shown(ConfigError::BadFleet),
+            "invalid fleet configuration: fleet configuration is degenerate"
+        );
     }
 
     #[test]

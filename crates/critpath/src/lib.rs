@@ -235,6 +235,10 @@ impl FreqModel {
     /// monotonically non-decreasing (a higher voltage never yields a
     /// lower table frequency).
     ///
+    /// Each level's frequency is [`FreqModel::fmax_hz`] over the core's
+    /// Pareto-maximal (Vth, Leff) cells only, which is bit-identical to
+    /// `fmax_hz` over every cell (see `DESIGN.md` §3n).
+    ///
     /// # Panics
     ///
     /// Panics if `voltages` is empty, unsorted, or `f_step_hz <= 0`.
@@ -245,10 +249,11 @@ impl FreqModel {
             "voltages must be strictly ascending"
         );
         assert!(f_step_hz > 0.0, "frequency step must be positive");
+        let front = slowest_front(cells);
         let mut entries: Vec<(f64, f64)> = Vec::with_capacity(voltages.len());
         let mut prev_f = 0.0f64;
         for &v in voltages {
-            let raw = self.fmax_hz(cells, v);
+            let raw = self.fmax_hz(&front, v);
             let quantized = (raw / f_step_hz).floor() * f_step_hz;
             let f = quantized.max(prev_f);
             entries.push((v, f));
@@ -256,6 +261,55 @@ impl FreqModel {
         }
         VfTable { entries }
     }
+}
+
+/// The cells that can set a core's cycle time: its Pareto-maximal
+/// (Vth, Leff) front, in descending Vth.
+///
+/// For a non-negative Leff, both stage delays, `leff·v/(v−vth)^α`, are
+/// non-decreasing in Vth and in Leff. The rounded evaluation keeps that
+/// order: the temperature shift, the overdrive, the product and the
+/// quotient are IEEE-rounded and hence monotone, and `powf` is monotone
+/// on the overdrive range (checked against the per-cell loop on 40,000
+/// grid-60 cores). So a cell that another cell matches or exceeds on
+/// both coordinates never has a strictly larger delay, at any voltage,
+/// and the max over the front is the max over all cells, bit for bit
+/// (an `f64` max does not depend on order). The max-Vth cell heads the
+/// front, so the non-finite early exit of [`FreqModel::fmax_hz`] fires
+/// exactly when it would over all cells.
+///
+/// Sorts by Vth descending, then Leff descending, and keeps each cell
+/// whose Leff is strictly above every Leff kept before it: ties and
+/// duplicates keep one representative. Inputs no die produces keep the
+/// result exact too: cells with a negative Leff are all kept, and a
+/// cell with a NaN coordinate or a Leff of −∞, whose delays are
+/// non-finite at every voltage, alone stands in for the core.
+fn slowest_front(cells: &CoreCells) -> CoreCells {
+    let pairs = cells.vth.iter().copied().zip(cells.leff.iter().copied());
+    let mut order: Vec<(f64, f64)> = Vec::with_capacity(cells.len());
+    for (vth, leff) in pairs {
+        if vth.is_nan() || leff.is_nan() || leff == f64::NEG_INFINITY {
+            return CoreCells {
+                vth: vec![vth],
+                leff: vec![leff],
+            };
+        }
+        order.push((vth, leff));
+    }
+    order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(b.1.total_cmp(&a.1)));
+    let mut front = CoreCells {
+        vth: Vec::new(),
+        leff: Vec::new(),
+    };
+    let mut max_leff = f64::NEG_INFINITY;
+    for (vth, leff) in order {
+        if leff > max_leff || leff < 0.0 {
+            max_leff = max_leff.max(leff);
+            front.vth.push(vth);
+            front.leff.push(leff);
+        }
+    }
+    front
 }
 
 /// Which pipeline-stage flavor limits a core's frequency.
@@ -379,6 +433,49 @@ impl VfTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vastats::SimRng;
+
+    impl FreqModel {
+        /// Reference for [`FreqModel::vf_table`]: the per-cell loop it
+        /// replaced, [`FreqModel::fmax_hz`] over every cell at every
+        /// level.
+        fn vf_table_per_cell(
+            &self,
+            cells: &CoreCells,
+            voltages: &[f64],
+            f_step_hz: f64,
+        ) -> VfTable {
+            let mut entries: Vec<(f64, f64)> = Vec::with_capacity(voltages.len());
+            let mut prev_f = 0.0f64;
+            for &v in voltages {
+                let raw = self.fmax_hz(cells, v);
+                let quantized = (raw / f_step_hz).floor() * f_step_hz;
+                let f = quantized.max(prev_f);
+                entries.push((v, f));
+                prev_f = f;
+            }
+            VfTable { entries }
+        }
+    }
+
+    /// The machine's DVFS levels: 0.6–1.0 V in 50 mV steps.
+    fn paper_voltages() -> Vec<f64> {
+        (0..9).map(|i| 0.6 + 0.05 * i as f64).collect()
+    }
+
+    fn bits(t: &VfTable) -> Vec<(u64, u64)> {
+        t.entries()
+            .iter()
+            .map(|&(v, f)| (v.to_bits(), f.to_bits()))
+            .collect()
+    }
+
+    /// Asserts the pruned table equals the per-cell oracle bit for bit.
+    fn assert_matches_oracle(m: &FreqModel, cells: &CoreCells, voltages: &[f64], what: &str) {
+        let fast = m.vf_table(cells, voltages, 100.0e6);
+        let slow = m.vf_table_per_cell(cells, voltages, 100.0e6);
+        assert_eq!(bits(&fast), bits(&slow), "{what}: {cells:?}");
+    }
 
     fn nominal_core() -> CoreCells {
         CoreCells {
@@ -571,5 +668,133 @@ mod tests {
         };
         let ratio = m.fmax_hz(&fast, 1.0) / m.fmax_hz(&slow, 1.0);
         assert!(ratio > 1.15 && ratio < 2.0, "ratio {ratio}");
+    }
+
+    #[test]
+    fn pruned_vf_table_matches_per_cell_oracle_on_grid60_dies() {
+        // The dies `Context::new(60)` manufactures: paper variation at
+        // grid 60 on the 20-core floorplan, one stream for every die.
+        let generator = varius::DieGenerator::new(varius::VariationConfig {
+            grid: 60,
+            ..varius::VariationConfig::paper_default()
+        })
+        .expect("paper config");
+        let fp = floorplan::paper_20_core();
+        let m = FreqModel::new(TimingParams::paper_default());
+        let volts = paper_voltages();
+        let mut rng = SimRng::seed_from(20080621);
+        let mut cores = 0;
+        for die_idx in 0..2_000 {
+            let die = generator.generate(&mut rng);
+            for cells in die.all_core_cells(&fp) {
+                assert_matches_oracle(&m, &cells, &volts, &format!("die {die_idx}"));
+                cores += 1;
+            }
+        }
+        assert_eq!(cores, 40_000);
+    }
+
+    #[test]
+    fn pruned_vf_table_edge_cases_match_per_cell_oracle() {
+        let m = FreqModel::new(TimingParams::paper_default());
+        let volts = paper_voltages();
+        let cases = [
+            (
+                "ties in Vth",
+                vec![0.27, 0.27, 0.25, 0.27],
+                vec![1.01, 1.04, 1.06, 0.98],
+            ),
+            (
+                "duplicate cells",
+                vec![0.26, 0.26, 0.24, 0.26],
+                vec![1.02, 1.02, 1.00, 1.02],
+            ),
+            ("single cell", vec![0.25], vec![1.0]),
+            (
+                "front of three",
+                vec![0.31, 0.28, 0.24, 0.22, 0.29],
+                vec![0.96, 1.03, 1.08, 1.01, 0.99],
+            ),
+        ];
+        for (what, vth, leff) in cases {
+            let mut cells = CoreCells { vth, leff };
+            assert_matches_oracle(&m, &cells, &volts, what);
+            // Cell order never changes the table.
+            let want = bits(&m.vf_table(&cells, &volts, 100.0e6));
+            let mut rng = SimRng::seed_from(5);
+            for _ in 0..20 {
+                let mut idx: Vec<usize> = (0..cells.len()).collect();
+                rng.shuffle(&mut idx);
+                cells = CoreCells {
+                    vth: idx.iter().map(|&i| cells.vth[i]).collect(),
+                    leff: idx.iter().map(|&i| cells.leff[i]).collect(),
+                };
+                assert_matches_oracle(&m, &cells, &volts, what);
+                assert_eq!(bits(&m.vf_table(&cells, &volts, 100.0e6)), want, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_vf_table_keeps_the_zero_early_exit() {
+        // The max-Vth cell's SRAM threshold at the rating temperature is
+        // 0.40 − 17.5 mV + 30 mV = 0.4125 V: levels at or below it
+        // cannot switch, whatever the faster cells could do.
+        let m = FreqModel::new(TimingParams::paper_default());
+        let cells = CoreCells {
+            vth: vec![0.25, 0.40, 0.30, 0.22],
+            leff: vec![1.08, 0.92, 1.0, 1.1],
+        };
+        let volts = [0.35, 0.40, 0.41, 0.42, 0.6, 1.0];
+        assert_matches_oracle(&m, &cells, &volts, "below the SRAM threshold");
+        let t = m.vf_table(&cells, &volts, 100.0e6);
+        for (level, &v) in volts.iter().enumerate().take(3) {
+            assert_eq!(m.fmax_hz(&cells, v), 0.0);
+            assert_eq!(t.freq_at(level), 0.0);
+        }
+        assert!(t.freq_at(4) > 0.0);
+    }
+
+    #[test]
+    fn pruned_vf_table_matches_oracle_on_random_tied_cells() {
+        // Coarse grids of Vth and Leff make ties and duplicates common.
+        let m = FreqModel::new(TimingParams::paper_default());
+        let volts = paper_voltages();
+        let mut rng = SimRng::seed_from(17);
+        for _ in 0..2_000 {
+            let n = 1 + rng.index(12);
+            let cells = CoreCells {
+                vth: (0..n).map(|_| 0.20 + 0.02 * rng.index(8) as f64).collect(),
+                leff: (0..n).map(|_| 0.90 + 0.05 * rng.index(5) as f64).collect(),
+            };
+            assert_matches_oracle(&m, &cells, &volts, "random tied cells");
+        }
+    }
+
+    #[test]
+    fn pruned_vf_table_matches_oracle_on_unphysical_cells() {
+        let m = FreqModel::new(TimingParams::paper_default());
+        let volts = paper_voltages();
+        let cases = [
+            // The dominated -1.7e308 cell overflows to a -inf delay.
+            (
+                "negative Leff",
+                vec![0.30, 0.25, 0.20],
+                vec![-2.0, -1.7e308, 1.0],
+            ),
+            ("NaN Vth", vec![0.25, f64::NAN, 0.30], vec![1.0, 0.9, 1.1]),
+            ("NaN Leff", vec![0.25, 0.20], vec![1.0, f64::NAN]),
+            (
+                "Leff of -inf",
+                vec![0.30, 0.20],
+                vec![1.0, f64::NEG_INFINITY],
+            ),
+            ("Leff of +inf", vec![0.30, 0.20], vec![1.0, f64::INFINITY]),
+            ("Vth of -inf", vec![0.30, f64::NEG_INFINITY], vec![1.0, 2.0]),
+            ("Vth of +inf", vec![f64::INFINITY, 0.25], vec![0.5, 1.0]),
+        ];
+        for (what, vth, leff) in cases {
+            assert_matches_oracle(&m, &CoreCells { vth, leff }, &volts, what);
+        }
     }
 }

@@ -135,9 +135,23 @@ impl Fft2 {
     ///
     /// Panics if the slices are not `nx * ny` long.
     pub fn forward(&self, re: &mut [f64], im: &mut [f64]) {
+        self.forward_cols(re, im, self.nx);
+    }
+
+    /// In-place forward 2-D FFT of row-major `re`/`im` for a caller
+    /// that reads only columns `0..cols` of the result: every row is
+    /// transformed, then only those columns. The kept columns hold the
+    /// same bits as after [`Fft2::forward`]; the others hold the row
+    /// pass alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices are not `nx * ny` long or `cols > nx`.
+    pub fn forward_cols(&self, re: &mut [f64], im: &mut [f64], cols: usize) {
         let (nx, ny) = (self.nx, self.ny);
         assert_eq!(re.len(), nx * ny, "buffer length mismatch");
         assert_eq!(im.len(), nx * ny, "buffer length mismatch");
+        assert!(cols <= nx, "column bound {cols} exceeds the width {nx}");
         for row in 0..ny {
             let s = row * nx;
             self.tw_x.forward(&mut re[s..s + nx], &mut im[s..s + nx]);
@@ -147,7 +161,7 @@ impl Fft2 {
         }
         let mut col_re = vec![0.0; ny];
         let mut col_im = vec![0.0; ny];
-        for col in 0..nx {
+        for col in 0..cols {
             for row in 0..ny {
                 col_re[row] = re[row * nx + col];
                 col_im[row] = im[row * nx + col];
@@ -263,6 +277,42 @@ mod tests {
             freq / n as f64,
             time
         );
+    }
+
+    #[test]
+    fn column_bound_keeps_full_transform_bits() {
+        let (nx, ny) = (16usize, 8usize);
+        let re: Vec<f64> = (0..nx * ny).map(|i| (i as f64 * 0.37).sin()).collect();
+        let im: Vec<f64> = (0..nx * ny).map(|i| (i as f64 * 0.91).cos()).collect();
+        let plan = Fft2::new(nx, ny);
+        let (mut full_re, mut full_im) = (re.clone(), im.clone());
+        plan.forward(&mut full_re, &mut full_im);
+        for cols in [0, 1, 5, 9, nx] {
+            let (mut got_re, mut got_im) = (re.clone(), im.clone());
+            plan.forward_cols(&mut got_re, &mut got_im, cols);
+            for row in 0..ny {
+                for col in 0..cols {
+                    let i = row * nx + col;
+                    assert_eq!(
+                        got_re[i].to_bits(),
+                        full_re[i].to_bits(),
+                        "cols {cols} bin {i}"
+                    );
+                    assert_eq!(
+                        got_im[i].to_bits(),
+                        full_im[i].to_bits(),
+                        "cols {cols} bin {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "column bound")]
+    fn column_bound_past_width_rejected() {
+        let plan = Fft2::new(4, 4);
+        plan.forward_cols(&mut [0.0; 16], &mut [0.0; 16], 5);
     }
 
     #[test]

@@ -454,7 +454,8 @@ impl GaussianField {
             re.push(s * a);
             im.push(s * b);
         }
-        plan.forward(&mut re, &mut im);
+        // Only the grid's columns are read back.
+        plan.forward_cols(&mut re, &mut im, self.nx);
         let take = |buf: &[f64]| -> Vec<f64> {
             let mut field = Vec::with_capacity(self.nx * self.ny);
             for iy in 0..self.ny {
@@ -694,6 +695,47 @@ mod tests {
         let dot: f64 = pair[0].iter().zip(&pair[1]).map(|(x, y)| x * y).sum();
         let n = field.len() as f64;
         assert!((dot / n).abs() < 0.2, "pair correlation {}", dot / n);
+    }
+
+    /// `sample_pair` with the full 2-D transform, the draw before the
+    /// column pass was bounded to the grid's columns.
+    fn full_transform_pair(field: &GaussianField, rng: &mut SimRng) -> (Vec<f64>, Vec<f64>) {
+        let Sampler::Circulant { mx, scale, plan } = &field.sampler else {
+            panic!("circulant field expected");
+        };
+        let (mut re, mut im): (Vec<f64>, Vec<f64>) = scale
+            .iter()
+            .map(|&s| {
+                let (a, b) = normal::standard_pair(rng);
+                (s * a, s * b)
+            })
+            .unzip();
+        plan.forward(&mut re, &mut im);
+        let take = |buf: &[f64]| -> Vec<f64> {
+            (0..field.ny)
+                .flat_map(|iy| buf[iy * mx..iy * mx + field.nx].iter().copied())
+                .collect()
+        };
+        (take(&re), take(&im))
+    }
+
+    #[test]
+    fn circulant_sample_matches_full_transform() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for (nx, ny) in [(60, 60), (12, 40), (33, 7)] {
+            let field =
+                GaussianField::build_circulant(nx, ny, SphericalCorrelogram::new(0.5)).unwrap();
+            let mut want_rng = SimRng::seed_from(20080621);
+            let mut got_rng = SimRng::seed_from(20080621);
+            for _ in 0..3 {
+                let (a, b) = full_transform_pair(&field, &mut want_rng);
+                let pair = field.sample_many(2, &mut got_rng);
+                assert_eq!(bits(&pair[0]), bits(&a), "{nx}x{ny} real half");
+                assert_eq!(bits(&pair[1]), bits(&b), "{nx}x{ny} imaginary half");
+            }
+            let (a, _) = full_transform_pair(&field, &mut SimRng::seed_from(3));
+            assert_eq!(bits(&field.sample(&mut SimRng::seed_from(3))), bits(&a));
+        }
     }
 
     #[test]

@@ -72,7 +72,8 @@ if [[ "$mode" == bench-smoke ]]; then
   cp results/BENCH_*.json "$baseline_dir"/ 2>/dev/null || true
 
   # Machine-readable bench output: the benches write
-  # results/BENCH_{optimizers,substrates}.json, the kernel bin writes
+  # crates/bench/results/BENCH_{optimizers,substrates}.json (cargo
+  # bench runs in the package directory), the kernel bin writes
   # the per-tick microbench medians to results/BENCH_kernel.json, the
   # all bin writes per-stage wall-times to results/BENCH_all.json, and
   # the trace bin exports JSONL run traces. check_bench exits non-zero
@@ -82,7 +83,7 @@ if [[ "$mode" == bench-smoke ]]; then
   # speedups against results/BENCH_kernel_baseline.json (>=8x on
   # machine/step_1ms_20t, >=10x on the large-grid field cases, >=1.4x
   # per evaluation on anneal/sann_100k_20t, >=2x on
-  # sched/thread_profiles_20t).
+  # sched/thread_profiles_20t, >=1.6x on construct/machine_grid60).
   cargo bench --offline -p vasp-bench
   cargo run -q --release --offline -p vasp-bench --bin kernel -- --gate
   cargo run -q --release --offline -p vasp-bench --bin all -- --scale smoke
